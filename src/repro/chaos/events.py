@@ -5,7 +5,7 @@ Every fault the runtime injects is logged as one
 scheduled for, the cycle at which the victim actually experienced it
 (the next probe boundary), and the kind-specific parameters.  The log is
 what the supervisor folds into its verdicts and what the determinism
-tests compare across per-op / batched runs.
+tests compare across sweep engines.
 """
 
 #: migration to another core: TLB + PSC wiped, scheduler cost, and the

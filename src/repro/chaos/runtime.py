@@ -10,11 +10,12 @@ Two invariants make runs bit-reproducible and mode-agnostic:
 
 * the runtime owns a **dedicated RNG** (the machine's 4th spawned seed).
   The core's measurement-noise RNG is consumed in different orders by
-  the per-op and batched paths, so chaos decisions must never touch it;
-* all RNG consumption happens inside :meth:`poll`, and both probe paths
-  poll at the **same simulated-clock values** (per probed VA).  Same
-  seed + same profile therefore yields the same event schedule, the
-  same effects, and the same disturbance log in either mode.
+  the per-op and vectorized sweep engines, so chaos decisions must never
+  touch it;
+* all RNG consumption happens inside :meth:`poll`, and every sweep
+  engine polls at the **same simulated-clock values** (per probed VA).
+  Same seed + same profile therefore yields the same event schedule,
+  the same effects, and the same disturbance log under every engine.
 """
 
 import hashlib

@@ -94,10 +94,9 @@ class Core:
     def chaos_poll(self):
         """Fire any due disturbances (no-op on lab-quiet machines).
 
-        Both probe paths call this at the same probe boundaries (once per
-        probed VA, plus calibration/scan entry points), which is what
-        keeps the disturbance schedule identical across per-op and
-        batched modes for the same seed.
+        Every sweep engine calls this at the same probe boundaries (once
+        per probed VA), which is what keeps the disturbance schedule
+        identical across engines for the same seed.
         """
         if self.chaos is not None:
             self.chaos.poll()
@@ -148,19 +147,20 @@ class Core:
 
     def probe_sweep(self, vas, rounds=None, op="load", warm=True,
                     reduce="mean", engine=None):
-        """Batched sweep measurement (see :mod:`repro.cpu.engine`).
+        """The one sweep entry point (see :mod:`repro.cpu.engine`).
 
-        Equivalent in simulated time, counter effects, and classification
-        outcomes to looping the scalar double/single probes; orders of
-        magnitude fewer Python-level ops.  ``rounds=None`` uses the CPU
-        model's default round count.
+        Measures every address in ``vas`` with ``rounds`` zero-mask
+        probes each.  ``rounds=None`` uses the CPU model's default round
+        count.
 
-        ``engine`` selects the sweep executor: ``"columnar"`` (the
-        struct-of-arrays core, :mod:`repro.cpu.columnar`), ``"batched"``
-        (the two-reference-ops row loop), or None/``"auto"`` -- columnar
+        ``engine`` selects the sweep executor: ``"per-op"`` (the
+        reference simulator, one call per op), ``"batched"`` (the
+        two-reference-ops row loop), ``"columnar"`` (the struct-of-arrays
+        core, :mod:`repro.cpu.columnar`), or None/``"auto"`` -- columnar
         for full-range scans (>= ``COLUMNAR_MIN_VAS`` addresses, tracing
-        off), batched otherwise.  All engines are bit-identical on
-        measured values, clock, counters and MMU state.
+        off), batched otherwise.  All engines agree on clock, counters
+        and MMU state; batched and columnar are bit-identical on measured
+        values too, while per-op draws its noise one op at a time.
         """
         from repro.cpu import columnar as _columnar
         from repro.cpu import engine as _engine
@@ -173,16 +173,18 @@ class Core:
                 not self.obs.enabled
                 and len(vas) >= _columnar.COLUMNAR_MIN_VAS
             ) else "batched"
-        if engine == "columnar":
-            return _columnar.columnar_sweep(self, vas, rounds, op=op,
-                                            warm=warm, reduce=reduce)
-        if engine != "batched":
+        sweeps = {
+            "per-op": _engine.per_op_sweep,
+            "batched": _engine.probe_sweep,
+            "columnar": _columnar.columnar_sweep,
+        }
+        if engine not in sweeps:
             raise ConfigError(
-                "unknown sweep engine {!r} (use 'columnar', 'batched' or "
-                "'auto')".format(engine)
+                "unknown sweep engine {!r} (use 'per-op', 'batched', "
+                "'columnar' or 'auto')".format(engine)
             )
-        return _engine.probe_sweep(self, vas, rounds, op=op, warm=warm,
-                                   reduce=reduce)
+        return sweeps[engine](self, vas, rounds, op=op, warm=warm,
+                              reduce=reduce)
 
     def timed_masked_load(self, va, mask=ZERO_MASK, element_size=4):
         """RDTSC / op / RDTSCP measurement of one masked load.

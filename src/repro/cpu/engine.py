@@ -28,8 +28,11 @@ closed form:
   noise values -- but not their statistics or the classification
   outcomes -- differ from the per-op path).
 
-The per-op simulator remains the reference; equivalence tests cross-
-validate recovered bases / module lists / regions between both paths.
+The per-op simulator remains the reference and is itself a sweep
+engine: :func:`per_op_sweep` runs every one of a sweep's ops through
+the timed per-op path, drawing noise one measurement at a time.
+Equivalence tests cross-validate recovered bases / module lists /
+regions between it and this engine.
 
 The row loop is factored into :func:`sweep_rows` (execute rows ``lo..hi``
 of a sweep through the per-op reference path) and :func:`finalize_sweep`
@@ -42,6 +45,7 @@ bit-identical on the measured matrix.
 
 import numpy as np
 
+from repro.cpu.avx import ZERO_MASK
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 
 _PAGE_SUFFIX = {PAGE_SIZE: "4k", PAGE_SIZE_2M: "2m", PAGE_SIZE_1G: "1g"}
@@ -214,7 +218,7 @@ def probe_sweep(core, vas, rounds, op="load", warm=True, reduce="mean"):
 
     ``reduce`` is ``"mean"`` (double-probe convention), ``"min"``
     (module/userspace scans), or ``None`` for the raw
-    ``(len(vas), rounds)`` observation matrix (batched calibration).
+    ``(len(vas), rounds)`` observation matrix (calibration).
 
     Only zero-mask probes are supported -- active elements could fault
     mid-sweep, which the closed-form replay cannot express.
@@ -235,3 +239,34 @@ def probe_sweep(core, vas, rounds, op="load", warm=True, reduce="mean"):
         state = SweepState(n, rounds, chaos)
         sweep_rows(core, vas, rounds, op, warm, state, 0, n)
         return finalize_sweep(core, state, warm, reduce)
+
+
+def per_op_sweep(core, vas, rounds, op="load", warm=True, reduce="mean"):
+    """The per-op oracle: every op of the sweep runs as its own call.
+
+    For each VA: one chaos poll, then ``rounds`` x (an untimed warming
+    op when ``warm``, then one timed measurement).  Noise is drawn one
+    measurement at a time, so the RNG stream -- and with it the noise
+    values -- differs from the vectorized engines, while the clock,
+    performance counters and MMU state agree with them exactly.
+    """
+    validate_sweep_args(op, reduce, rounds)
+    if op == "load":
+        execute, timed = core.masked_load, core.timed_masked_load
+    else:
+        execute, timed = core.masked_store, core.timed_masked_store
+    rows = []
+    for va in vas:
+        core.chaos_poll()
+        samples = []
+        for _ in range(rounds):
+            if warm:
+                execute(va, ZERO_MASK)
+            samples.append(timed(va, ZERO_MASK))
+        rows.append(samples)
+
+    if reduce == "mean":
+        return np.array([sum(row) / rounds for row in rows], dtype=np.float64)
+    if reduce == "min":
+        return np.array([min(row) for row in rows], dtype=np.int64)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), rounds)

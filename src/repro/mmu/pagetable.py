@@ -141,6 +141,15 @@ def _bump_generation():
     _mutation_generation += 1
 
 
+def _holds_leaf(node):
+    """True if any present terminal entry lives under ``node``."""
+    return any(
+        _holds_leaf(entry.child) if entry.child is not None
+        else entry.flags & PageFlags.PRESENT
+        for entry in node.entries.values()
+    )
+
+
 class PageTable:
     """A full 4-level page-table tree rooted at a PML4.
 
@@ -177,7 +186,11 @@ class PageTable:
         index = indices[terminal_level]
         existing = node.get(index)
         if existing is not None and existing.flags & PageFlags.PRESENT:
-            raise MappingError("va {:#x} already mapped".format(va))
+            # a huge mapping may replace a table that ``unmap`` left
+            # empty, like Linux freeing an empty PTE page before it
+            # installs a huge PMD; a table with a live leaf still refuses
+            if existing.is_terminal or _holds_leaf(existing.child):
+                raise MappingError("va {:#x} already mapped".format(va))
         if page_size != PAGE_SIZE:
             flags |= PageFlags.HUGE
         node.entries[index] = Entry(flags=flags, pfn=pfn)

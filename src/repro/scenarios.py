@@ -39,12 +39,24 @@ def _attack(name):
     return register
 
 
+def _engine(params):
+    """Pop the sweep engine a spec asks for (its ``"engine"`` key).
+
+    A legacy ``"batched": false`` still selects the per-op reference
+    engine, so older spec files keep running; no key means auto.
+    """
+    engine = params.pop("engine", None)
+    if not params.pop("batched", True) and engine is None:
+        return "per-op"
+    return engine
+
+
 @_attack("kaslr")
 def _run_kaslr(machine, params):
     from repro.attacks.kaslr_break import break_kaslr
 
     result = break_kaslr(machine, rounds=params.get("rounds"),
-                         batched=params.get("batched", True))
+                         engine=_engine(params))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -59,7 +71,7 @@ def _run_modules(machine, params):
     from repro.attacks.module_detect import detect_modules, region_accuracy
 
     result = detect_modules(machine, rounds=params.get("rounds"),
-                            batched=params.get("batched", True))
+                            engine=_engine(params))
     return {
         "correct": region_accuracy(result, machine.kernel) >= params.get(
             "min_accuracy", 0.98
@@ -77,7 +89,7 @@ def _run_kpti(machine, params):
 
     result = break_kaslr_kpti(
         machine, trampoline_offset=params.get("trampoline_offset"),
-        batched=params.get("batched", True),
+        engine=_engine(params),
     )
     return {
         "correct": result.base == machine.kernel.base,
@@ -91,8 +103,7 @@ def _run_kpti(machine, params):
 def _run_windows_region(machine, params):
     from repro.attacks.windows_break import find_kernel_region
 
-    result = find_kernel_region(machine,
-                                batched=params.get("batched", True))
+    result = find_kernel_region(machine, engine=_engine(params))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -105,8 +116,7 @@ def _run_windows_region(machine, params):
 def _run_windows_kvas(machine, params):
     from repro.attacks.windows_break import find_kvas_region
 
-    result = find_kvas_region(machine,
-                              batched=params.get("batched", True))
+    result = find_kvas_region(machine, engine=_engine(params))
     return {
         "correct": result.base == machine.kernel.base,
         "base": result.base,
@@ -118,8 +128,7 @@ def _run_windows_kvas(machine, params):
 def _run_user_scan(machine, params):
     from repro.attacks.userspace import find_user_code_base
 
-    result = find_user_code_base(machine,
-                                 batched=params.get("batched", True))
+    result = find_user_code_base(machine, engine=_engine(params))
     return {
         "correct": result.base == machine.process.text_base,
         "base": result.base,
@@ -152,7 +161,7 @@ def _run_supervised(machine, params):
         machine, attack,
         max_retries=params.pop("max_retries", 3),
         probe_budget=params.pop("probe_budget", None),
-        batched=params.pop("batched", True),
+        engine=_engine(params),
         **params,
     )
     observations = {
@@ -234,8 +243,7 @@ def _run_fingerprint(machine, params):
     from repro.workloads.apps import APP_CATALOG, ApplicationWorkload
 
     app = params.get("app", "video-call")
-    spy = ApplicationFingerprinter(machine,
-                                   batched=params.get("batched", True))
+    spy = ApplicationFingerprinter(machine, engine=_engine(params))
     workload = ApplicationWorkload(app, seed=params.get("victim_seed", 1))
     guess, __, __ = spy.identify(
         workload, list(APP_CATALOG.values()),

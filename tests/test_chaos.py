@@ -1,5 +1,8 @@
 """The disturbance-injection runtime: profiles, effects, determinism."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.attacks.kaslr_break import break_kaslr_intel
@@ -12,6 +15,10 @@ from repro.chaos import (
 )
 from repro.errors import ConfigError
 from repro.machine import Machine
+from repro.scenarios import run_scenario
+
+RERANDOMIZING_KASLR = (pathlib.Path(__file__).resolve().parent.parent
+                       / "scenarios" / "chaos_rerandomizing_kaslr.json")
 
 
 def _event_log(machine):
@@ -48,8 +55,8 @@ class TestQuietIsANoOp:
         plain = Machine.linux(seed=5)
         quiet = Machine.linux(seed=5, chaos="quiet")
         assert quiet.chaos is not None and not quiet.chaos.active
-        r_plain = break_kaslr_intel(plain, batched=True)
-        r_quiet = break_kaslr_intel(quiet, batched=True)
+        r_plain = break_kaslr_intel(plain)
+        r_quiet = break_kaslr_intel(quiet)
         assert list(r_plain.timings) == list(r_quiet.timings)
         assert plain.clock.cycles == quiet.clock.cycles
         assert r_plain.base == r_quiet.base
@@ -61,7 +68,7 @@ class TestScheduleDeterminism:
         logs = []
         for _ in range(2):
             machine = Machine.linux(seed=13, chaos="default")
-            break_kaslr_intel(machine, batched=True)
+            break_kaslr_intel(machine)
             logs.append(_event_log(machine))
         assert logs[0] == logs[1]
         assert logs[0]  # the default profile does fire during a break
@@ -70,21 +77,21 @@ class TestScheduleDeterminism:
         logs = []
         for seed in (13, 14):
             machine = Machine.linux(seed=seed, chaos="default")
-            break_kaslr_intel(machine, batched=True)
+            break_kaslr_intel(machine)
             logs.append(_event_log(machine))
         assert logs[0] != logs[1]
 
     def test_per_op_and_batched_see_identical_disturbances(self):
         outcomes = []
-        for batched in (True, False):
+        for engine in (None, "per-op"):
             machine = Machine.linux(seed=7, chaos="default")
-            break_kaslr_intel(machine, batched=batched)
+            break_kaslr_intel(machine, engine=engine)
             outcomes.append((_event_log(machine), machine.clock.cycles))
         assert outcomes[0] == outcomes[1]
 
     def test_events_fire_in_clock_order_with_armed_kinds_only(self):
         machine = Machine.linux(seed=21, chaos="hostile")
-        break_kaslr_intel(machine, batched=True)
+        break_kaslr_intel(machine)
         log = _event_log(machine)
         armed = set(get_chaos_profile("hostile").active_kinds)
         assert {e["kind"] for e in log} <= armed
@@ -139,6 +146,16 @@ class TestEffects:
         # the old image really is gone from the page tables
         assert not machine.kernel.is_kernel_text_mapped(old_base) \
             or machine.kernel.base == old_base
+
+    @pytest.mark.parametrize("seed", [11, 17, 21, 22, 37, 41, 45])
+    def test_rerandomizing_kaslr_reaches_a_typed_verdict(self, seed):
+        # these seeds place a 2 MiB image page over a page table an
+        # earlier re-randomization emptied (its 4 KiB tails unmapped)
+        spec = json.loads(RERANDOMIZING_KASLR.read_text())
+        spec["machine"]["seed"] = seed
+        result = run_scenario(spec)
+        assert result.observations["status"] in ("found", "abstain",
+                                                  "failed")
 
     def test_rerandomize_disabled_on_nokaslr_machines(self):
         machine = Machine.linux(seed=33, kaslr=False, chaos="rerandomizing")

@@ -307,8 +307,10 @@ class TestSelectionAndDelegation:
     def test_unknown_engine_rejected(self):
         machine = Machine.linux(seed=1)
         from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'per-op'"):
             machine.core.probe_sweep([layout.MODULE_START], engine="simd")
+        for engine in ("per-op", "batched", "columnar", "auto", None):
+            machine.core.probe_sweep([layout.MODULE_START], engine=engine)
 
     def test_zero_mask_nop_delegates(self):
         machine = Machine.linux(seed=1)
@@ -339,9 +341,9 @@ class TestAttackLevelEquivalence:
     def test_kaslr_three_way(self, cpu):
         results = {}
         for arm, kwargs in (
-            ("per-op", dict(batched=False)),
-            ("batched", dict(batched=True, engine="batched")),
-            ("columnar", dict(batched=True, engine="columnar")),
+            ("per-op", dict(engine="per-op")),
+            ("batched", dict(engine="batched")),
+            ("columnar", dict(engine="columnar")),
         ):
             machine = Machine.linux(cpu=cpu, seed=77)
             results[arm] = (break_kaslr(machine, **kwargs).base,
@@ -355,9 +357,9 @@ class TestAttackLevelEquivalence:
     def test_modules_three_way(self):
         recovered = {}
         for arm, kwargs in (
-            ("per-op", dict(batched=False)),
-            ("batched", dict(batched=True, engine="batched")),
-            ("columnar", dict(batched=True, engine="columnar")),
+            ("per-op", dict(engine="per-op")),
+            ("batched", dict(engine="batched")),
+            ("columnar", dict(engine="columnar")),
         ):
             machine = Machine.linux(seed=31)
             result = detect_modules(machine, max_slots=2048, **kwargs)
@@ -369,9 +371,9 @@ class TestAttackLevelEquivalence:
     def test_userspace_three_way(self):
         found = {}
         for arm, kwargs in (
-            ("per-op", dict(batched=False)),
-            ("batched", dict(batched=True, engine="batched")),
-            ("columnar", dict(batched=True, engine="columnar")),
+            ("per-op", dict(engine="per-op")),
+            ("batched", dict(engine="batched")),
+            ("columnar", dict(engine="columnar")),
         ):
             machine = Machine.linux(seed=19)
             result = find_user_code_base(machine, **kwargs)
@@ -385,7 +387,7 @@ class TestAttackLevelEquivalence:
         def run(min_vas):
             monkeypatch.setattr(columnar, "COLUMNAR_MIN_VAS", min_vas)
             machine = Machine.linux(seed=101, chaos="default")
-            verdict = supervise(machine, "kaslr", batched=True)
+            verdict = supervise(machine, "kaslr")
             return (verdict.status, verdict.value, verdict.confidence,
                     machine.core.clock.cycles,
                     machine.core.chaos.schedule_digest())

@@ -90,6 +90,25 @@ class TestUnmapProtect:
         table.unmap(0x1000)
         assert table.lookup(0x1000).terminal_level == 3
 
+    def test_huge_map_replaces_emptied_table(self):
+        # unmap keeps the emptied PT; a 2 MiB page on its PDE frees it
+        table = PageTable()
+        table.map(PAGE_SIZE_2M + 0x3000, 0x1, KERNEL)
+        table.unmap(PAGE_SIZE_2M + 0x3000)
+        table.map(PAGE_SIZE_2M, 0x200, KERNEL, PAGE_SIZE_2M)
+        lookup = table.lookup(PAGE_SIZE_2M + 0x3000)
+        assert lookup.translation.page_size == PAGE_SIZE_2M
+        assert lookup.translation.pfn == 0x200
+
+    def test_huge_map_over_live_leaf_raises(self):
+        table = PageTable()
+        table.map(PAGE_SIZE_2M + 0x3000, 0x1, KERNEL)
+        table.map(PAGE_SIZE_2M + 0x4000, 0x2, KERNEL)
+        table.unmap(PAGE_SIZE_2M + 0x3000)
+        with pytest.raises(MappingError):
+            table.map(PAGE_SIZE_2M, 0x200, KERNEL, PAGE_SIZE_2M)
+        assert table.lookup(PAGE_SIZE_2M + 0x4000).translation.pfn == 0x2
+
     def test_lookup_terminal_level_without_structures(self):
         assert PageTable().lookup(0x1000).terminal_level == 0
 

@@ -4,7 +4,8 @@ Three layers of guarantees:
 
 * **exactness** -- simulated clock, performance counters, and the
   walker's walk count after a batched sweep equal the per-op loop's
-  (the accounting is closed-form, not approximate);
+  (the accounting is closed-form, not approximate), and the per-op
+  engine equals that loop value for value;
 * **equivalence** -- over multiple CPU models and seeds, the batched
   attacks recover the same KASLR base / module list / Windows region as
   the per-op reference (noise values differ -- the vectorized RNG
@@ -48,11 +49,25 @@ class TestSweepAccounting:
             Machine.linux(cpu=cpu, seed=seed),
         )
 
+    def _assert_per_op_equals(self, reference, expected, vas, seed,
+                              chaos=None, **sweep):
+        """``engine="per-op"`` on a twin is the hand loop, value for
+        value: same measurements, clock, counters, walks, RNG position."""
+        twin = Machine.linux(seed=seed, chaos=chaos)
+        got = twin.core.probe_sweep(vas, engine="per-op", **sweep)
+        assert got.tolist() == expected
+        assert reference.core.clock.cycles == twin.core.clock.cycles
+        assert reference.core.perf.snapshot() == twin.core.perf.snapshot()
+        assert (reference.core.walker.completed_walks
+                == twin.core.walker.completed_walks)
+        assert reference.core.rng.random() == twin.core.rng.random()
+        return twin
+
     def test_double_probe_clock_perf_and_walks_equal(self):
         reference, batched = self._pair()
         vas = _slot_vas(48)
-        for va in vas:
-            double_probe_load(reference.core, va, rounds=4)
+        expected = [double_probe_load(reference.core, va, rounds=4)
+                    for va in vas]
         batched.core.probe_sweep(vas, rounds=4, op="load")
         assert reference.core.clock.cycles == batched.core.clock.cycles
         assert reference.core.perf.snapshot() == batched.core.perf.snapshot()
@@ -60,38 +75,64 @@ class TestSweepAccounting:
             reference.core.walker.completed_walks
             == batched.core.walker.completed_walks
         )
+        self._assert_per_op_equals(reference, expected, vas, seed=42,
+                                   rounds=4, op="load")
 
     def test_single_probe_clock_and_perf_equal(self):
         reference, batched = self._pair(seed=7)
         vas = _slot_vas(32)
-        for va in vas:
+        expected = [
             min(reference.core.timed_masked_load(va) for _ in range(3))
+            for va in vas
+        ]
         batched.core.probe_sweep(vas, rounds=3, op="load", warm=False,
                                  reduce="min")
         assert reference.core.clock.cycles == batched.core.clock.cycles
         assert reference.core.perf.snapshot() == batched.core.perf.snapshot()
+        self._assert_per_op_equals(reference, expected, vas, seed=7,
+                                   rounds=3, warm=False, reduce="min")
 
     def test_single_round_single_probe_equal(self):
         reference, batched = self._pair(seed=3)
         vas = _slot_vas(8)
-        for va in vas:
-            reference.core.timed_masked_load(va)
+        expected = [reference.core.timed_masked_load(va) for va in vas]
         batched.core.probe_sweep(vas, rounds=1, op="load", warm=False,
                                  reduce="min")
         assert reference.core.clock.cycles == batched.core.clock.cycles
         assert reference.core.perf.snapshot() == batched.core.perf.snapshot()
+        self._assert_per_op_equals(reference, expected, vas, seed=3,
+                                   rounds=1, warm=False, reduce="min")
 
     def test_store_sweep_clock_and_perf_equal(self):
         reference, batched = self._pair(seed=11)
         page = reference.playground.user_rw
-        for _ in range(600):
-            reference.core.timed_masked_store(page)
+        expected = [[reference.core.timed_masked_store(page)
+                     for _ in range(600)]]
         batched.core.probe_sweep(
             [batched.playground.user_rw], rounds=600, op="store",
             warm=False, reduce=None,
         )
         assert reference.core.clock.cycles == batched.core.clock.cycles
         assert reference.core.perf.snapshot() == batched.core.perf.snapshot()
+        self._assert_per_op_equals(reference, expected, [page], seed=11,
+                                   rounds=600, op="store", warm=False,
+                                   reduce=None)
+
+    def test_per_op_engine_equals_hand_loop_under_chaos(self):
+        # the min-filtered double probe of the module and supervisor
+        # scans; disturbances fire mid-sweep, at the per-VA poll
+        reference = Machine.linux(seed=17, chaos="default")
+        vas = _slot_vas(128)
+        expected = [
+            double_probe_load(reference.core, va, rounds=3, take_min=True)
+            for va in vas
+        ]
+        assert reference.chaos.log
+        twin = self._assert_per_op_equals(reference, expected, vas,
+                                          seed=17, chaos="default",
+                                          rounds=3, reduce="min")
+        assert (reference.chaos.log_as_dicts()
+                == twin.chaos.log_as_dicts())
 
     def test_raw_reduce_shape_and_mean_reduce_agree(self):
         machine = Machine.linux(seed=4)
@@ -129,9 +170,9 @@ class TestBatchedEquivalence:
                                      "ryzen5-5600X"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kaslr_base_recovery_matches(self, cpu, seed):
-        reference = break_kaslr(Machine.linux(cpu=cpu, seed=seed))
-        batched = break_kaslr(Machine.linux(cpu=cpu, seed=seed),
-                              batched=True)
+        reference = break_kaslr(Machine.linux(cpu=cpu, seed=seed),
+                                engine="per-op")
+        batched = break_kaslr(Machine.linux(cpu=cpu, seed=seed))
         assert batched.method == reference.method
         assert batched.base == reference.base
         assert batched.slot == reference.slot
@@ -139,17 +180,17 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kpti_base_recovery_matches(self, seed):
-        reference = break_kaslr(Machine.linux(seed=seed, kpti=True))
-        batched = break_kaslr(Machine.linux(seed=seed, kpti=True),
-                              batched=True)
+        reference = break_kaslr(Machine.linux(seed=seed, kpti=True),
+                                engine="per-op")
+        batched = break_kaslr(Machine.linux(seed=seed, kpti=True))
         assert reference.method == "kpti-trampoline"
         assert batched.base == reference.base
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_module_detection_matches(self, seed):
-        reference = detect_modules(Machine.linux(seed=seed), max_slots=3072)
-        batched = detect_modules(Machine.linux(seed=seed), max_slots=3072,
-                                 batched=True)
+        reference = detect_modules(Machine.linux(seed=seed), max_slots=3072,
+                                   engine="per-op")
+        batched = detect_modules(Machine.linux(seed=seed), max_slots=3072)
         assert batched.identified == reference.identified
         assert (
             [(r.start, r.pages) for r in batched.regions]
@@ -158,16 +199,16 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_windows_region_matches(self, seed):
-        reference = find_kernel_region(Machine.windows(seed=seed))
-        batched = find_kernel_region(Machine.windows(seed=seed),
-                                     batched=True)
+        reference = find_kernel_region(Machine.windows(seed=seed),
+                                       engine="per-op")
+        batched = find_kernel_region(Machine.windows(seed=seed))
         assert batched.base == reference.base
         assert batched.region_slots == reference.region_slots
         assert batched.base is not None
 
     def test_batched_run_is_deterministic(self):
-        first = break_kaslr(Machine.linux(seed=6), batched=True)
-        second = break_kaslr(Machine.linux(seed=6), batched=True)
+        first = break_kaslr(Machine.linux(seed=6))
+        second = break_kaslr(Machine.linux(seed=6))
         assert first.base == second.base
         assert first.timings == second.timings
         assert first.threshold == second.threshold

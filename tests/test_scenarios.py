@@ -28,6 +28,27 @@ class TestRunScenario:
         assert result.passed
         assert result.observations["method"] == "intel-p2"
 
+    def test_engine_key_and_legacy_batched_flag(self, monkeypatch):
+        from repro.cpu.core import Core
+
+        engines = []
+        sweep = Core.probe_sweep
+
+        def recording(core, vas, *args, engine=None, **kwargs):
+            engines.append(engine)
+            return sweep(core, vas, *args, engine=engine, **kwargs)
+        monkeypatch.setattr(Core, "probe_sweep", recording)
+        for attack, expected in (
+            ({"kind": "kaslr"}, {None}),
+            ({"kind": "kaslr", "engine": "per-op"}, {"per-op"}),
+            ({"kind": "kaslr", "batched": False}, {"per-op"}),
+            ({"kind": "supervised", "attack": "kaslr", "batched": False},
+             {"per-op"}),
+        ):
+            engines.clear()
+            assert run_scenario(_scenario(attack=attack)).passed
+            assert set(engines) == expected
+
     def test_file_input(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(_scenario()))
