@@ -12,9 +12,11 @@ This module removes the per-address simulator from the loop.  It
 into dense numpy arrays -- one column per per-VA attribute:
 
 * structural resolution: per-level page-table node ids and indices,
-  terminal level, present/user/writable/dirty bits, PFN (derived by a
-  vectorized radix descent over the page-table nodes, with per-node
-  sorted-key arrays cached against the global mutation generation);
+  terminal level and the leaf's packed PTE word (present/user/writable/
+  dirty bits, PFN), read by a vectorized radix descent that indexes the
+  page table's own :class:`~repro.mmu.pagetable.TableStore` rows -- the
+  arrays the per-op walker reads, so there is nothing to convert or
+  cache;
 * timing inputs: walk base cycles, assist costs, op base;
 * replacement-state interaction points: *run* boundaries (the node chain
   changed -> the PSC resume depth must be measured against the real
@@ -99,128 +101,40 @@ _SIZE_OF_LEVEL_ARR = np.array(
 _LEVEL_SHIFTS_U64 = tuple(np.uint64(s) for s in (39, 30, 21, 12))
 _INDEX_MASK_U64 = np.uint64(0x1FF)
 
-#: per-node column cache: node_id -> (mutation generation, _NodeArrays).
-#: node ids are globally unique and never reused, so a stale hit is
-#: impossible; the generation tag drops columns when any table mutates.
-_NODE_CACHE = {}
-_NODE_CACHE_MAX = 8192
 
+def _resolve(page_table, idx_cols):
+    """Vectorized radix descent of every row through the table's store.
 
-class _Ineligible(Exception):
-    """Raised during compile when a window cannot be proven safe."""
-
-
-class _NodeArrays:
-    """Columnar image of one paging-structure node's sparse entries."""
-
-    __slots__ = ("keys", "present", "terminal", "pfn", "user", "writable",
-                 "dirty", "flag_objs", "children")
-
-    def __init__(self, node):
-        items = sorted(node.entries.items())
-        count = len(items)
-        self.keys = np.empty(count, dtype=np.int64)
-        self.present = np.empty(count, dtype=bool)
-        self.terminal = np.empty(count, dtype=bool)
-        self.pfn = np.zeros(count, dtype=np.int64)
-        self.user = np.empty(count, dtype=bool)
-        self.writable = np.empty(count, dtype=bool)
-        self.dirty = np.empty(count, dtype=bool)
-        self.flag_objs = np.empty(count, dtype=object)
-        self.children = [None] * count
-        for slot, (index, entry) in enumerate(items):
-            flags = entry.flags
-            self.keys[slot] = index
-            self.present[slot] = bool(flags & PageFlags.PRESENT)
-            self.terminal[slot] = entry.child is None
-            self.pfn[slot] = entry.pfn if entry.pfn is not None else 0
-            self.user[slot] = bool(flags & PageFlags.USER)
-            self.writable[slot] = bool(flags & PageFlags.WRITABLE)
-            self.dirty[slot] = bool(flags & PageFlags.DIRTY)
-            self.flag_objs[slot] = flags
-            self.children[slot] = entry.child
-
-
-def _node_arrays(node):
-    generation = _pagetable._mutation_generation
-    cached = _NODE_CACHE.get(node.node_id)
-    if cached is not None and cached[0] == generation:
-        return cached[1]
-    arrays = _NodeArrays(node)
-    if len(_NODE_CACHE) >= _NODE_CACHE_MAX:
-        _NODE_CACHE.clear()
-    _NODE_CACHE[node.node_id] = (generation, arrays)
-    return arrays
-
-
-class _Resolved:
-    """Structural-resolution columns for one window (SoA Lookup)."""
-
-    __slots__ = ("node_ids", "T", "present", "pfn", "user", "writable",
-                 "dirty", "flag_objs")
-
-    def __init__(self, n):
-        self.node_ids = np.full((4, n), -1, dtype=np.int64)
-        self.T = np.zeros(n, dtype=np.int64)
-        self.present = np.zeros(n, dtype=bool)
-        self.pfn = np.zeros(n, dtype=np.int64)
-        self.user = np.zeros(n, dtype=bool)
-        self.writable = np.zeros(n, dtype=bool)
-        self.dirty = np.zeros(n, dtype=bool)
-        self.flag_objs = np.empty(n, dtype=object)
-
-
-def _resolve(node, level, rows, idx_cols, out):
-    """Vectorized radix descent: classify ``rows`` through ``node``."""
-    out.node_ids[level, rows] = node.node_id
-    arrays = _node_arrays(node)
-    idx = idx_cols[level][rows]
-    if arrays.keys.size == 0:
-        out.T[rows] = level
-        return
-    pos = np.searchsorted(arrays.keys, idx)
-    in_bounds = pos < arrays.keys.size
-    pos_c = np.where(in_bounds, pos, 0)
-    found = in_bounds & (arrays.keys[pos_c] == idx)
-
-    missing = rows[~found]
-    if missing.size:
-        out.T[missing] = level
-    found_rows = rows[found]
-    found_pos = pos_c[found]
-    if not found_rows.size:
-        return
-    present = arrays.present[found_pos]
-    not_present = found_rows[~present]
-    if not_present.size:
-        out.T[not_present] = level
-    live_rows = found_rows[present]
-    live_pos = found_pos[present]
-    if not live_rows.size:
-        return
-    terminal = arrays.terminal[live_pos]
-    term_rows = live_rows[terminal]
-    if term_rows.size:
-        if level == 0:
-            raise _Ineligible("terminal-at-pml4")
-        term_pos = live_pos[terminal]
-        out.T[term_rows] = level
-        out.present[term_rows] = True
-        out.pfn[term_rows] = arrays.pfn[term_pos]
-        out.user[term_rows] = arrays.user[term_pos]
-        out.writable[term_rows] = arrays.writable[term_pos]
-        out.dirty[term_rows] = arrays.dirty[term_pos]
-        out.flag_objs[term_rows] = arrays.flag_objs[term_pos]
-    dir_rows = live_rows[~terminal]
-    if dir_rows.size:
-        if level == 3:
-            raise _Ineligible("malformed-pt")
-        dir_pos = live_pos[~terminal]
-        for slot in np.unique(dir_pos):
-            _resolve(
-                arrays.children[slot], level + 1,
-                dir_rows[dir_pos == slot], idx_cols, out,
-            )
+    Returns ``(node_ids, T, words)``: the (4, n) node-id chain (-1 below
+    the terminal level), the terminal level, and the leaf PTE word of
+    present rows (0 otherwise).  Leaves never sit in a PML4 row (there
+    are no 512 GiB pages), so a present row's level is 1..3.
+    """
+    store = page_table.store
+    pte = store.pte
+    child = store.child
+    n = idx_cols[0].size
+    node_ids = np.full((4, n), -1, dtype=np.int64)
+    T = np.zeros(n, dtype=np.int64)
+    words = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    rows = np.full(n, page_table.root, dtype=np.int64)
+    for level in range(4):
+        node_ids[level, active] = store.id_base | rows
+        idx = idx_cols[level][active]
+        word = pte[rows, idx]
+        kid = child[rows, idx]
+        present = (word & 1) != 0
+        descend = present & (kid != 0)
+        stop = active[~descend]
+        T[stop] = level
+        leaf = present & ~descend
+        words[active[leaf]] = word[leaf]
+        active = active[descend]
+        if not active.size:
+            break
+        rows = kid[descend].astype(np.int64)
+    return node_ids, T, words
 
 
 class _Plan:
@@ -228,8 +142,8 @@ class _Plan:
 
     __slots__ = ("n", "T", "present", "idx_all", "node_ids", "term_node",
                  "term_idx", "run_first", "boundary", "walk_base", "op_base",
-                 "assist", "has_assist", "fill_mask", "walks2", "vpn", "pfn",
-                 "flag_objs", "page_size", "size_code")
+                 "assist", "has_assist", "fill_mask", "walks2", "vpn", "words",
+                 "page_size", "size_code")
 
 
 def _tlb_key_sets(tlb):
@@ -267,19 +181,15 @@ def _compile(core, vas, op):
         ((vas >> shift) & _INDEX_MASK_U64).astype(np.int64)
         for shift in _LEVEL_SHIFTS_U64
     ]
-    out = _Resolved(n)
-    try:
-        _resolve(core.address_space.page_table.root, 0,
-                 np.arange(n, dtype=np.int64), idx_cols, out)
-    except _Ineligible:
-        return None
-
-    T = out.T
-    present = out.present
+    node_ids, T, words = _resolve(core.address_space.page_table, idx_cols)
+    present = (words & int(PageFlags.PRESENT)) != 0
+    user = (words & int(PageFlags.USER)) != 0
+    writable = (words & int(PageFlags.WRITABLE)) != 0
+    dirty = (words & int(PageFlags.DIRTY)) != 0
     vpn = (vas >> _VPN_SHIFT_OF_LEVEL[T]).astype(np.int64)
     size_code = _CODE_OF_LEVEL[T]
     cpu = core.cpu
-    fill_mask = present & (out.user | cpu.fills_tlb_for_supervisor_user_probe)
+    fill_mask = present & (user | cpu.fills_tlb_for_supervisor_user_probe)
 
     # -- TLB eligibility proof -------------------------------------------
     # A: no candidate lookup key (any page size) may hit a visible entry,
@@ -315,10 +225,9 @@ def _compile(core, vas, op):
     plan.T = T
     plan.present = present
     plan.idx_all = np.stack(idx_cols)
-    plan.node_ids = out.node_ids
+    plan.node_ids = node_ids
     plan.vpn = vpn
-    plan.pfn = out.pfn
-    plan.flag_objs = out.flag_objs
+    plan.words = words
     plan.page_size = _SIZE_OF_LEVEL_ARR[T]
     plan.size_code = size_code
     plan.fill_mask = fill_mask
@@ -326,15 +235,15 @@ def _compile(core, vas, op):
     plan.walk_base = timing.base + timing.level_step * (T + 1)
     if op == "load":
         plan.op_base = cpu.load_base
-        plan.has_assist = ~(present & out.user)
+        plan.has_assist = ~(present & user)
         plan.assist = np.where(plan.has_assist, cpu.assist_load, 0)
     else:
         plan.op_base = cpu.store_base
-        plan.has_assist = ~(present & out.user & out.writable & out.dirty)
+        plan.has_assist = ~(present & user & writable & dirty)
         plan.assist = np.where(
             ~present, cpu.assist_store_fault,
-            np.where(~out.user | ~out.writable, cpu.assist_store,
-                     np.where(~out.dirty, cpu.assist_dirty, 0)),
+            np.where(~user | ~writable, cpu.assist_store,
+                     np.where(~dirty, cpu.assist_dirty, 0)),
         )
 
     # -- run / group decomposition ---------------------------------------
@@ -540,13 +449,15 @@ def _apply_accounting(core, plan, state, walk1_extra, done, seg_start,
         asid = tlb.active_asid
         pending = {}
         vpns = plan.vpn[:done]
-        pfns = plan.pfn[:done]
+        words = plan.words[:done]
         sizes = plan.page_size[:done]
         for row in np.flatnonzero(fill_mask).tolist():
             size = int(sizes[row])
             vpn = int(vpns[row])
-            entry = TLBEntry(vpn, int(pfns[row]), plan.flag_objs[row],
-                             size, False, asid)
+            word = int(words[row])
+            entry = TLBEntry(vpn, (word >> 12) & _pagetable.PFN_MASK,
+                             _pagetable.flags_of_word(word), size, False,
+                             asid)
             l1 = tlb.l1[size]
             pending.setdefault(
                 (id(l1), vpn % l1.sets), (l1, vpn % l1.sets, [])

@@ -19,8 +19,11 @@ class FrameAllocator:
     """
 
     def __init__(self, first_pfn=0x100):
+        self._first_pfn = first_pfn
         self._next_pfn = first_pfn
-        self._allocated = set()
+        #: frames handed out and then freed; everything else in
+        #: [first_pfn, next_pfn) is allocated
+        self._freed = set()
 
     def alloc(self, count=1):
         """Allocate ``count`` consecutive frames, returning the first PFN."""
@@ -28,22 +31,22 @@ class FrameAllocator:
             raise MappingError("cannot allocate {} frames".format(count))
         pfn = self._next_pfn
         self._next_pfn += count
-        for i in range(count):
-            self._allocated.add(pfn + i)
         return pfn
 
     def free(self, pfn, count=1):
         """Release ``count`` frames starting at ``pfn``."""
-        for i in range(count):
-            self._allocated.discard(pfn + i)
+        self._freed.update(range(
+            max(pfn, self._first_pfn), min(pfn + count, self._next_pfn)
+        ))
 
     def is_allocated(self, pfn):
         """Return True if ``pfn`` is currently allocated."""
-        return pfn in self._allocated
+        return (self._first_pfn <= pfn < self._next_pfn
+                and pfn not in self._freed)
 
     @property
     def allocated_count(self):
-        return len(self._allocated)
+        return self._next_pfn - self._first_pfn - len(self._freed)
 
 
 class PhysicalMemory:

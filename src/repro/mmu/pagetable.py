@@ -1,4 +1,4 @@
-"""4-level x86-64 page tables.
+"""4-level x86-64 page tables stored as packed PTE words.
 
 The hierarchy is PML4 -> PDPT -> PD -> PT.  Terminal mappings may live at
 
@@ -6,23 +6,29 @@ The hierarchy is PML4 -> PDPT -> PD -> PT.  Terminal mappings may live at
 * PD level    : 2 MiB huge pages  (PS bit set),
 * PDPT level  : 1 GiB huge pages  (PS bit set).
 
-Each paging-structure node carries a unique ``node_id`` standing in for the
-physical address of the structure itself; the walker uses node ids to model
-whether a walk's memory accesses hit the data cache (hot) or go to DRAM
-(cold) -- the effect behind the paper's 381-vs-147-cycle TLB-miss result.
+Each paging structure is one 512-slot row of a :class:`TableStore`: int64
+PTE words as hardware packs them (flags | PFN << 12, NX in bit 63) plus
+the child row of each directory slot.  The per-op walker reads the rows
+through :meth:`PageTable.lookup`; the columnar engine descends them with
+array indexing.  A row's node id stands in for the structure's physical
+address; the walker uses it to model whether a walk's memory accesses
+hit the data cache (hot) or go to DRAM (cold) -- the effect behind the
+paper's 381-vs-147-cycle TLB-miss result.  Only its identity matters.
 """
 
 import itertools
 
-from repro.errors import MappingError
+import numpy as np
+
+from repro.errors import AddressError, MappingError
 from repro.mmu.frames import FrameAllocator, PhysicalMemory
 from repro.mmu.address import (
     LEVEL_NAMES,
+    LEVEL_SHIFTS,
     PAGE_SIZE,
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
     check_canonical,
-    is_aligned,
     split_indices,
 )
 from repro.mmu.flags import PageFlags
@@ -31,52 +37,85 @@ from repro.mmu.flags import PageFlags
 _LEVEL_OF_SIZE = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}
 _SIZE_OF_LEVEL = {1: PAGE_SIZE_1G, 2: PAGE_SIZE_2M, 3: PAGE_SIZE}
 
-_node_ids = itertools.count(1)
-
 #: permissive flags used for non-terminal (directory) entries, mirroring
 #: how Linux sets intermediate entries maximally permissive and enforces
 #: permissions at the leaf.
-_DIR_FLAGS = PageFlags.PRESENT | PageFlags.WRITABLE | PageFlags.USER
+_DIR_WORD = int(PageFlags.PRESENT | PageFlags.WRITABLE | PageFlags.USER)
+
+#: PTE word layout: flag bits 0..11 and 63 (NX), PFN in bits 12..51
+FLAG_BITS = 0xFFF | int(PageFlags.NX)
+PFN_MASK = (1 << 40) - 1
+_KEEP_ON_PROTECT = int(PageFlags.HUGE | PageFlags.GLOBAL) | PFN_MASK << 12
+
+_SLOT_NUMBERS = np.arange(512, dtype=np.int64)
+
+#: node id = store serial << 24 | row: unique across the process
+_store_serials = itertools.count(1 << 24, 1 << 24)
+
+#: PTE flag bits -> PageFlags; few distinct combinations ever occur
+_FLAG_OBJS = {}
 
 
-class Entry:
-    """One slot of a paging structure: either a directory or a leaf."""
-
-    __slots__ = ("flags", "pfn", "child")
-
-    def __init__(self, flags=PageFlags.NONE, pfn=None, child=None):
-        self.flags = flags
-        self.pfn = pfn
-        self.child = child
-
-    @property
-    def is_terminal(self):
-        return self.child is None
+def flags_of_word(word):
+    """The :class:`PageFlags` of a PTE word (int64 or unsigned)."""
+    bits = word & FLAG_BITS
+    flags = _FLAG_OBJS.get(bits)
+    if flags is None:
+        flags = _FLAG_OBJS[bits] = PageFlags(bits)
+    return flags
 
 
-class Node:
-    """One paging structure (512 entries, stored sparsely)."""
+def _int64(word):
+    """The int64 storage value of a 64-bit PTE word pattern."""
+    return ((word + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
 
-    __slots__ = ("node_id", "level", "entries")
 
-    def __init__(self, level):
-        self.node_id = next(_node_ids)
-        self.level = level
-        self.entries = {}
+def _leaf(va, word, level):
+    """The :class:`Translation` of a present leaf word at ``level``."""
+    return Translation(va, (word >> 12) & PFN_MASK, flags_of_word(word),
+                       _SIZE_OF_LEVEL[level], level)
 
-    def get(self, index):
-        return self.entries.get(index)
 
-    def ensure_child(self, index):
-        entry = self.entries.get(index)
-        if entry is None:
-            entry = Entry(flags=_DIR_FLAGS, child=Node(self.level + 1))
-            self.entries[index] = entry
-        elif entry.child is None:
-            raise MappingError(
-                "level-{} entry {} already terminal".format(self.level, index)
-            )
-        return entry.child
+class TableStore:
+    """Paging-structure rows of one page table and the tables aliasing it.
+
+    A table joins another's store in :meth:`PageTable.share_top_level_from`.
+    ``pte[row, index]`` is the PTE word of slot ``index`` of structure
+    ``row`` (0 when empty; every stored word is present) and
+    ``child[row, index]`` the row a directory slot points to.  Row 0 is
+    the first table's root, never anyone's child, so ``child == 0`` marks
+    leaves and empty slots.  Rows are never reused.  ``generation`` is
+    bumped by every mutation; the lookup memo of each table in the store
+    is tagged with it.
+    """
+
+    __slots__ = ("pte", "child", "rows", "generation", "id_base", "tables")
+
+    def __init__(self, capacity=16):
+        self.pte = np.zeros((capacity, 512), dtype=np.int64)
+        self.child = np.zeros((capacity, 512), dtype=np.int32)
+        self.rows = 0
+        self.generation = 0
+        self.id_base = next(_store_serials)
+        self.tables = 0
+
+    def new_rows(self, count=1):
+        """Append ``count`` empty rows; return the first row index."""
+        first = self.rows
+        self.rows += count
+        if self.rows > len(self.pte):
+            capacity = 2 * max(self.rows, len(self.pte))
+            for name in ("pte", "child"):
+                old = getattr(self, name)
+                grown = np.zeros((capacity, 512), dtype=old.dtype)
+                grown[:first] = old[:first]
+                setattr(self, name, grown)
+        return first
+
+    def holds_leaf(self, row):
+        """True if any present terminal entry lives under ``row``."""
+        kids = self.child[row][self.pte[row] != 0]
+        return not kids.all() or any(map(self.holds_leaf, kids.tolist()))
 
 
 class Translation:
@@ -126,75 +165,111 @@ class Lookup:
         return self.translation is not None
 
 
-#: Global structural-mutation counter.  It is bumped by *any* mutation of
-#: *any* page table; per-table lookup caches are tagged with the value
-#: they were filled under and dropped wholesale when it moves.  A global
-#: counter (rather than per-table) keeps aliased subtrees correct: KPTI
-#: tables share PML4 slots via :meth:`PageTable.share_top_level_from`, so
-#: a mutation through one table must invalidate lookups cached by the
-#: other.
-_mutation_generation = 0
-
-
-def _bump_generation():
-    global _mutation_generation
-    _mutation_generation += 1
-
-
-def _holds_leaf(node):
-    """True if any present terminal entry lives under ``node``."""
-    return any(
-        _holds_leaf(entry.child) if entry.child is not None
-        else entry.flags & PageFlags.PRESENT
-        for entry in node.entries.values()
-    )
-
-
 class PageTable:
-    """A full 4-level page-table tree rooted at a PML4.
+    """A full 4-level page-table tree rooted at a PML4 row of a store.
 
     Repeated structural lookups of the same VA are memoized in a
     generation-tagged cache: probe sweeps hit the same addresses over and
     over, and the radix traversal dominates their cost.  Any mutation
     (``map``/``unmap``/``protect``/flag updates/top-level sharing) bumps
-    the global generation, which drops every table's cached lookups.
+    the store's generation, which drops the cached lookups of every
+    table in the store -- KPTI tables alias structures, so a mutation
+    through one must invalidate the other's.
     """
 
     def __init__(self):
-        self.root = Node(level=0)
+        self.store = TableStore()
+        self.root = self.store.new_rows()
+        self.store.tables += 1
         self._lookup_cache = {}
-        self._cache_generation = _mutation_generation
+        self._cache_generation = self.store.generation
 
     # -- construction -----------------------------------------------------
 
     def map(self, va, pfn, flags, page_size=PAGE_SIZE):
         """Install a terminal mapping of ``page_size`` bytes at ``va``."""
+        self.map_run(va, pfn, 1, flags, page_size)
+
+    def map_run(self, va, pfn, count, flags, page_size=PAGE_SIZE):
+        """Map ``count`` consecutive pages at ``va`` to consecutive frames.
+
+        Page ``i`` maps frame ``pfn + i * page_size // PAGE_SIZE``, as
+        ``count`` single-page :meth:`map` calls in address order would,
+        errors included: the pages before the first refused one stay
+        mapped.  Each run of slots inside one paging structure is checked
+        and written as one array slice.  A huge mapping may replace a
+        table that ``unmap`` left empty, like Linux freeing an empty PTE
+        page before it installs a huge PMD; a leaf or a live table refuses.
+        """
         va = check_canonical(va)
-        if page_size not in _LEVEL_OF_SIZE:
+        level = _LEVEL_OF_SIZE.get(page_size)
+        if level is None:
             raise MappingError("unsupported page size {:#x}".format(page_size))
-        if not is_aligned(va, page_size):
+        if va & (page_size - 1):
             raise MappingError(
                 "va {:#x} not aligned to page size {:#x}".format(va, page_size)
             )
-        if not flags & PageFlags.PRESENT:
+        word = int(flags)
+        if not word & 1:  # PageFlags.PRESENT
             raise MappingError("terminal mappings must be PRESENT")
-        terminal_level = _LEVEL_OF_SIZE[page_size]
-        indices = split_indices(va)
-        node = self.root
-        for level in range(terminal_level):
-            node = node.ensure_child(indices[level])
-        index = indices[terminal_level]
-        existing = node.get(index)
-        if existing is not None and existing.flags & PageFlags.PRESENT:
-            # a huge mapping may replace a table that ``unmap`` left
-            # empty, like Linux freeing an empty PTE page before it
-            # installs a huge PMD; a table with a live leaf still refuses
-            if existing.is_terminal or _holds_leaf(existing.child):
-                raise MappingError("va {:#x} already mapped".format(va))
-        if page_size != PAGE_SIZE:
-            flags |= PageFlags.HUGE
-        node.entries[index] = Entry(flags=flags, pfn=pfn)
-        _bump_generation()
+        if ((va + (count - 1) * page_size) ^ va) >> 47:
+            raise AddressError(
+                "run at {:#x} leaves its canonical half".format(va)
+            )
+        frames = page_size // PAGE_SIZE
+        step = frames << 12
+        if pfn < 0 or pfn + count * frames > PFN_MASK + 1:
+            raise MappingError("pfn {:#x} out of range".format(pfn))
+        if level < 3:
+            word |= int(PageFlags.HUGE)
+        word = _int64(word | pfn << 12)
+        store = self.store
+        done = 0
+        try:
+            while done < count:
+                at = va + done * page_size
+                row = self.root
+                for depth in range(level):
+                    row = self._ensure_child(
+                        row, depth, at >> LEVEL_SHIFTS[depth] & 0x1FF
+                    )
+                first = at >> LEVEL_SHIFTS[level] & 0x1FF
+                n = min(count - done, 512 - first)
+                refused = None
+                live = store.pte[row, first:first + n]
+                if np.count_nonzero(live):
+                    for offset in np.flatnonzero(live).tolist():
+                        kid = store.child.item(row, first + offset)
+                        if not kid or store.holds_leaf(kid):
+                            refused = n = offset
+                            break
+                    store.child[row, first:first + n] = 0
+                words = store.pte[row, first:first + n]
+                np.multiply(_SLOT_NUMBERS[:n], step, out=words)
+                words += word + done * step
+                done += n
+                if refused is not None:
+                    raise MappingError("va {:#x} already mapped".format(
+                        va + done * page_size
+                    ))
+        finally:
+            if done:
+                store.generation += 1
+
+    def _ensure_child(self, row, level, index):
+        """Row of the structure slot ``index`` of ``row`` points to."""
+        store = self.store
+        kid = store.child.item(row, index)
+        if kid:
+            return kid
+        if store.pte.item(row, index):
+            raise MappingError(
+                "level-{} entry {} already terminal".format(level, index)
+            )
+        kid = store.new_rows()
+        store.pte[row, index] = _DIR_WORD
+        store.child[row, index] = kid
+        return kid
 
     def unmap(self, va):
         """Remove the terminal mapping covering ``va``.
@@ -203,50 +278,46 @@ class PageTable:
         structures are retained (as real kernels usually do), so a later
         walk of the same address terminates at the old terminal level.
         """
-        node, index, entry, level = self._find_terminal(va)
-        if entry is None:
-            raise MappingError("va {:#x} is not mapped".format(va))
-        del node.entries[index]
-        _bump_generation()
+        row, index, level = self._find_leaf(va)
+        self._write(row, index, 0)
         return _SIZE_OF_LEVEL[level]
 
     def protect(self, va, flags):
         """Replace the permission flags of the mapping covering ``va``."""
-        node, index, entry, level = self._find_terminal(va)
-        if entry is None:
-            raise MappingError("va {:#x} is not mapped".format(va))
-        keep = entry.flags & (PageFlags.HUGE | PageFlags.GLOBAL)
-        if not flags & PageFlags.PRESENT:
-            # PROT_NONE: drop the leaf, like Linux clearing the present bit.
-            del node.entries[index]
-            _bump_generation()
-            return
-        node.entries[index] = Entry(flags=flags | keep, pfn=entry.pfn)
-        _bump_generation()
+        row, index, __ = self._find_leaf(va)
+        word = 0  # PROT_NONE: drop the leaf, like Linux clearing present
+        if flags & PageFlags.PRESENT:
+            word = int(flags) | self.store.pte.item(row, index) \
+                & _KEEP_ON_PROTECT
+        self._write(row, index, word)
 
     def set_flag(self, va, flag):
         """OR ``flag`` into the terminal entry covering ``va`` (A/D bits)."""
-        __, __, entry, __ = self._find_terminal(va)
-        if entry is None:
-            raise MappingError("va {:#x} is not mapped".format(va))
-        if entry.flags & flag != flag:
-            entry.flags |= flag
-            _bump_generation()
+        row, index, __ = self._find_leaf(va)
+        word = self.store.pte.item(row, index)
+        flag = int(flag)
+        if word & flag != flag:
+            self._write(row, index, word | flag)
+
+    def _write(self, row, index, word):
+        """Store one PTE word and bump the store's generation."""
+        self.store.pte[row, index] = _int64(word)
+        self.store.generation += 1
 
     # -- lookup ------------------------------------------------------------
 
-    def _find_terminal(self, va):
-        """Return (node, index, entry, level) of the terminal entry, if any."""
-        indices = split_indices(va)
-        node = self.root
-        for level in range(4):
-            entry = node.get(indices[level])
-            if entry is None:
-                return node, indices[level], None, level
-            if entry.is_terminal:
-                return node, indices[level], entry, level
-            node = entry.child
-        raise MappingError("malformed page table at {:#x}".format(va))
+    def _find_leaf(self, va):
+        """Return (row, index, level) of the present leaf covering ``va``."""
+        store = self.store
+        row = self.root
+        for level, index in enumerate(split_indices(va)):
+            if not store.pte.item(row, index):
+                break
+            kid = store.child.item(row, index)
+            if not kid:
+                return row, index, level
+            row = kid
+        raise MappingError("va {:#x} is not mapped".format(va))
 
     def lookup(self, va):
         """Walk structurally (no timing) and return a :class:`Lookup`.
@@ -255,9 +326,10 @@ class PageTable:
         structure the hardware would read, in top-down order.  Results are
         memoized per VA until the next structural mutation.
         """
-        if self._cache_generation != _mutation_generation:
+        generation = self.store.generation
+        if self._cache_generation != generation:
             self._lookup_cache.clear()
-            self._cache_generation = _mutation_generation
+            self._cache_generation = generation
         else:
             cached = self._lookup_cache.get(va)
             if cached is not None:
@@ -270,23 +342,18 @@ class PageTable:
         """The raw radix traversal behind :meth:`lookup` (never cached)."""
         va = check_canonical(va)
         indices = split_indices(va)
-        node = self.root
+        store = self.store
+        row = self.root
         touched = []
-        for level in range(4):
-            touched.append((level, node.node_id))
-            entry = node.get(indices[level])
-            if entry is None or not entry.flags & PageFlags.PRESENT:
+        for level, index in enumerate(indices):
+            touched.append((level, store.id_base | row))
+            word = store.pte.item(row, index)
+            if not word:
                 return Lookup(None, level, touched, indices)
-            if entry.is_terminal:
-                translation = Translation(
-                    va,
-                    entry.pfn,
-                    entry.flags,
-                    _SIZE_OF_LEVEL[level],
-                    level,
-                )
-                return Lookup(translation, level, touched, indices)
-            node = entry.child
+            kid = store.child.item(row, index)
+            if not kid:
+                return Lookup(_leaf(va, word, level), level, touched, indices)
+            row = kid
         raise MappingError("malformed page table at {:#x}".format(va))
 
     def is_mapped(self, va):
@@ -299,30 +366,46 @@ class PageTable:
         """Alias one PML4 slot from ``other`` into this table.
 
         This is how kernels share the kernel half between per-process page
-        tables: top-level entries point at the same lower structures.
+        tables: top-level entries point at the same lower structures.  A
+        table alone on its own store first moves onto ``other``'s.
         """
-        entry = other.root.get(pml4_index)
-        if entry is None:
+        store = other.store
+        if not store.pte.item(other.root, pml4_index):
             raise MappingError(
                 "source PML4 slot {} is empty".format(pml4_index)
             )
-        self.root.entries[pml4_index] = entry
-        _bump_generation()
+        if self.store is not store:
+            old = self.store
+            if old.tables > 1:
+                raise MappingError("table shares its store with others")
+            offset = store.new_rows(old.rows)
+            moved = slice(offset, offset + old.rows)
+            store.pte[moved] = old.pte[:old.rows]
+            kids = old.child[:old.rows]
+            store.child[moved] = np.where(kids != 0, kids + offset, 0)
+            self.store, self.root = store, self.root + offset
+            store.tables += 1
+            # the memo's generation tag and node ids belong to ``old``
+            self._lookup_cache.clear()
+        for column in (store.pte, store.child):
+            column[self.root, pml4_index] = column[other.root, pml4_index]
+        store.generation += 1
 
     def iter_terminal(self):
-        """Yield (va_base, entry, page_size) for every present leaf."""
+        """Yield (va_base, translation, page_size) for every present leaf."""
+        store = self.store
 
-        def walk(node, prefix, level):
-            for index, entry in sorted(node.entries.items()):
+        def walk(row, prefix, level):
+            for index in np.flatnonzero(store.pte[row]).tolist():
                 va = prefix | (index << (39 - 9 * level))
-                if entry.is_terminal:
-                    if entry.flags & PageFlags.PRESENT:
-                        base = va
-                        if base >> 47 & 1:
-                            base |= 0xFFFF_0000_0000_0000
-                        yield base, entry, _SIZE_OF_LEVEL[level]
-                else:
-                    yield from walk(entry.child, va, level + 1)
+                kid = store.child.item(row, index)
+                if kid:
+                    yield from walk(kid, va, level + 1)
+                    continue
+                if va >> 47 & 1:
+                    va |= 0xFFFF_0000_0000_0000
+                yield va, _leaf(va, store.pte.item(row, index), level), \
+                    _SIZE_OF_LEVEL[level]
 
         yield from walk(self.root, 0, 0)
 
@@ -346,15 +429,8 @@ class AddressSpace:
                 "size {:#x} is not a multiple of page size".format(size)
             )
         count = size // page_size
-        frames_per_page = page_size // PAGE_SIZE
-        first = self.frames.alloc(count * frames_per_page)
-        for i in range(count):
-            self.page_table.map(
-                va + i * page_size,
-                first + i * frames_per_page,
-                flags,
-                page_size,
-            )
+        first = self.frames.alloc(count * (page_size // PAGE_SIZE))
+        self.page_table.map_run(va, first, count, flags, page_size)
         return first
 
     def unmap_range(self, va, size, page_size=PAGE_SIZE):

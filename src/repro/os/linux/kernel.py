@@ -118,16 +118,17 @@ class LinuxKernel:
         mapped with 4 KiB pages -- which is also what makes the TLB
         template bypass function-granular.
         """
-        text_2m = max(1, self.image_2m_pages // 2)
-        for i in range(self.image_2m_pages):
-            flags = _KTEXT if i < text_2m else _KDATA
-            page_size = PAGE_SIZE_2M
-            if self.fgkaslr and i < text_2m:
-                page_size = PAGE_SIZE
-            self.kernel_space.map_range(
-                self.base + i * PAGE_SIZE_2M, PAGE_SIZE_2M, flags,
-                page_size=page_size,
-            )
+        pages = self.image_2m_pages
+        text_2m = min(max(1, pages // 2), pages)
+        text_size = PAGE_SIZE if self.fgkaslr else PAGE_SIZE_2M
+        runs = ((0, text_2m, _KTEXT, text_size),
+                (text_2m, pages, _KDATA, PAGE_SIZE_2M))
+        for first, end, flags, page_size in runs:
+            if end > first:
+                self.kernel_space.map_range(
+                    self.base + first * PAGE_SIZE_2M,
+                    (end - first) * PAGE_SIZE_2M, flags, page_size=page_size,
+                )
         for offset in layout.KERNEL_4K_PAGE_OFFSETS:
             self.kernel_space.map_range(
                 self.base + offset, PAGE_SIZE, _KDATA, page_size=PAGE_SIZE
@@ -173,10 +174,11 @@ class LinuxKernel:
         cursor = self.policy.module_area_start(total_pages)
         for module in self.modules:
             text_pages = max(1, (module.pages * 3) // 5)
-            for i in range(module.pages):
-                flags = _KTEXT if i < text_pages else _KDATA
+            self.kernel_space.map_range(cursor, text_pages * PAGE_SIZE, _KTEXT)
+            if module.pages > text_pages:
                 self.kernel_space.map_range(
-                    cursor + i * PAGE_SIZE, PAGE_SIZE, flags
+                    cursor + text_pages * PAGE_SIZE,
+                    (module.pages - text_pages) * PAGE_SIZE, _KDATA,
                 )
             self.module_map[module.name] = (cursor, module.pages)
             cursor += (module.pages + self.policy.intermodule_gap_pages()) \

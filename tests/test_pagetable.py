@@ -173,6 +173,56 @@ class TestSharing:
         kernel.map(va + PAGE_SIZE_2M, 0x20, KERNEL, PAGE_SIZE_2M)
         assert user.lookup(va + PAGE_SIZE_2M).present
 
+    @staticmethod
+    def _aliased_pair(va):
+        kernel = PageTable()
+        kernel.map(va, 0x10, KERNEL | PageFlags.WRITABLE, PAGE_SIZE_2M)
+        user = PageTable()
+        user.share_top_level_from(kernel, 511)
+        return kernel, user
+
+    def test_alias_sees_kernel_unmap_of_memoized_va(self):
+        va = 0xFFFF_FFFF_8000_0000
+        kernel, user = self._aliased_pair(va)
+        before = user.lookup(va)
+        assert before.present
+        assert user.lookup(va) is before  # memoized
+        kernel.unmap(va)
+        after = user.lookup(va)
+        assert not after.present
+        # the emptied PD is kept: the walk still ends at the PD level
+        assert after.terminal_level == 2
+        assert after.nodes == before.nodes
+
+    def test_alias_sees_kernel_protect_of_memoized_va(self):
+        va = 0xFFFF_FFFF_8000_0000
+        kernel, user = self._aliased_pair(va)
+        assert user.lookup(va).translation.flags.writable  # memoized
+        kernel.protect(va, KERNEL | PageFlags.NX)
+        flags = user.lookup(va).translation.flags
+        assert not flags.writable
+        assert not flags.executable
+        assert flags.huge
+        kernel.protect(va, PageFlags.NONE)
+        assert not user.lookup(va).present
+
+    def test_moved_table_drops_memo_of_its_old_store(self):
+        kva = 0xFFFF_FFFF_8000_0000
+        user = PageTable()
+        user.map(0x1000, 0x1, PageFlags.PRESENT | PageFlags.USER)
+        user.map(0x2000, 0x2, PageFlags.PRESENT | PageFlags.USER)
+        assert not user.lookup(kva).present  # memoized on user's store
+        kernel = PageTable()
+        kernel.map(kva, 0x10, KERNEL, PAGE_SIZE_2M)
+        assert user.store.generation == kernel.store.generation + 1
+        # the share bumps the kernel store to the user memo's old tag
+        user.share_top_level_from(kernel, 511)
+        assert user.store is kernel.store
+        shared = user.lookup(kva)
+        assert shared.present
+        assert shared.nodes[1:] == kernel.lookup(kva).nodes[1:]
+        assert user.lookup(0x1000).translation.pfn == 0x1
+
     def test_share_empty_slot_raises(self):
         with pytest.raises(MappingError):
             PageTable().share_top_level_from(PageTable(), 0)
