@@ -30,7 +30,7 @@ import time
 from _bench_utils import once
 
 from repro.analysis.report import format_table
-from repro.campaign import ShardedCampaignRunner
+from repro.campaign import ShardedCampaignRunner, strip_wall_stamps
 from repro.ioutil import write_json_atomic
 from repro.serve import FairShareScheduler, OverloadGovernor, \
     QuotaLedger, ServeBackend, ServeClient, ServeServer, TenantQuota
@@ -168,14 +168,9 @@ def _bench_plan(server, tmp):
         served_s = time.perf_counter() - start
     assert verdict["status"] == "done" and verdict["ok"], verdict
 
-    def _strip(store):
-        store = dict(store)
-        store.pop("generated_at")
-        store.pop("wall_elapsed_s")
-        return store
-
     served_store = json.loads(pathlib.Path(verdict["store"]).read_text())
-    assert _strip(served_store) == _strip(offline_report.store)
+    assert strip_wall_stamps(served_store) \
+        == strip_wall_stamps(offline_report.store)
     return {
         "units": PLAN_UNITS,
         "shards": SHARDS,

@@ -32,6 +32,8 @@ from repro.campaign.runner import (  # noqa: F401
     CampaignReport,
     CampaignRunner,
     plan_units,
+    store_digest,
+    strip_wall_stamps,
 )
 from repro.campaign.shard import (  # noqa: F401
     Shard,

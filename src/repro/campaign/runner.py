@@ -196,6 +196,28 @@ def build_store(config, folded, wall_elapsed_s):
     }
 
 
+#: the result store's only wall-clock fields
+WALL_STAMPS = ("generated_at", "wall_elapsed_s")
+
+
+def strip_wall_stamps(store):
+    """A copy of a result store without its wall-clock stamps.
+
+    Two runs of the same campaign -- clean, resumed, sharded or served
+    -- must agree on everything else.
+    """
+    stripped = dict(store)
+    for key in WALL_STAMPS:
+        del stripped[key]
+    return stripped
+
+
+def store_digest(store):
+    """sha256 of a result store, modulo its wall-clock stamps."""
+    blob = json.dumps(strip_wall_stamps(store), sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class CampaignReport:
     """What a finished (or resumed-to-finished) campaign hands back."""
 

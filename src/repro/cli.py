@@ -745,14 +745,8 @@ def cmd_soak(args):
 
     root = args.dir or tempfile.mkdtemp(prefix="repro-soak-")
     try:
-        report = run_soak(
-            root, duration_s=args.duration, shards=args.shards,
-            jobs=args.jobs, seed=args.seed, plan_units=args.plan_units,
-            campaign_units=args.units, spin=args.spin,
-            fault_profile=args.fault_profile,
-            fairness_ratio_max=args.fairness_ratio,
-            trickle_p99_ms=args.trickle_p99_ms,
-        )
+        report = run_soak(root, duration_s=args.duration,
+                          campaign_units=args.units)
     except SoakError as error:
         print("SOAK FAILED: {}".format(error))
         if error.report and args.out:
@@ -1122,32 +1116,17 @@ def build_parser():
 
     p = subparsers.add_parser(
         "soak",
-        help="sustained-load soak: multi-tenant floods, client churn, "
-             "a mid-soak SIGTERM drain, fairness / determinism / "
+        help="the service harness: a connection burst, multi-tenant "
+             "floods with churn, a capped tenant, a mid-soak SIGTERM and "
+             "a `repro drain`; fairness / quota / determinism / "
              "zero-orphan assertions")
     p.add_argument("--dir", default=None, metavar="DIR",
                    help="scratch directory (default: a tempdir)")
     p.add_argument("--duration", type=float, default=24.0,
                    help="total load-window seconds across both phases")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=4)
-    p.add_argument("--seed", type=int, default=9)
-    p.add_argument("--plan-units", type=int, default=48,
-                   help="units in the drain/resume determinism plan")
     p.add_argument("--units", type=int, default=2000,
                    help="sharded-campaign scale smoke size (0 skips; "
                         "the full soak uses 100000)")
-    p.add_argument("--spin", type=int, default=2000,
-                   help="noop unit cost knob")
-    p.add_argument("--fault-profile", default="default",
-                   help="fault profile injected into the soak's "
-                        "second plan")
-    p.add_argument("--fairness-ratio", type=float, default=3.0,
-                   help="bound on weight-normalized flood throughput "
-                        "max/min")
-    p.add_argument("--trickle-p99-ms", type=float, default=5000.0,
-                   help="bound on the trickle tenant's p99 scheduler "
-                        "wait")
     p.add_argument("--out", default=None, metavar="REPORT.JSON",
                    help="write the full report here (atomic)")
     p.set_defaults(func=cmd_soak)

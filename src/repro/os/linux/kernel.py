@@ -49,6 +49,27 @@ SYSCALL_TABLE = (
 )
 
 
+def _slots_taken(leaves, start, grain, slots):
+    """Which ``grain``-aligned slots from ``start`` have a mapped base."""
+    stop = start + slots * grain
+    spans = np.array([
+        (va - start, va + size - start) for va, size in leaves
+        if start < va + size and va < stop
+    ], dtype=np.int64).reshape(-1, 2)
+    first = np.maximum(0, -(-spans[:, 0] // grain))
+    end = np.minimum(slots, (spans[:, 1] - 1) // grain + 1)
+    depth = np.bincount(first, minlength=slots + 1) \
+        - np.bincount(end, minlength=slots + 1)
+    return np.cumsum(depth[:slots]) > 0
+
+
+def _free_runs(taken):
+    """``(first, count)`` of every maximal run of False in ``taken``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([1], taken, [1]))))
+    return [(int(first), int(end - first))
+            for first, end in zip(edges[0::2], edges[1::2])]
+
+
 class LinuxKernel:
     """One booted kernel instance with randomized layout."""
 
@@ -193,25 +214,26 @@ class LinuxKernel:
         page-table attack (P2/P3); they are never *executed*, which is why
         the TLB attack (P4) still works.
         """
+        leaves = [(va, size) for va, __, size
+                  in self.kernel_space.page_table.iter_terminal()]
+        text_taken = _slots_taken(leaves, layout.KERNEL_TEXT_START,
+                                  PAGE_SIZE_2M, layout.KERNEL_TEXT_SLOTS)
+        module_taken = _slots_taken(leaves, layout.MODULE_START, PAGE_SIZE,
+                                    layout.MODULE_SLOTS)
+        # each free run is one map_range, in ascending order: the same
+        # frames a page-at-a-time loop would hand out
         self.flare_dummy_slots = []
-        image_slots = set(range(
-            layout.kernel_slot_of(self.base),
-            layout.kernel_slot_of(self.base) + self.image_2m_pages,
-        ))
-        for slot in range(layout.KERNEL_TEXT_SLOTS):
-            if slot in image_slots:
-                continue
-            va = layout.kernel_base_of_slot(slot)
-            if self.kernel_space.translate(va) is None:
-                self.kernel_space.map_range(
-                    va, PAGE_SIZE_2M, _KTEXT, page_size=PAGE_SIZE_2M
-                )
-                self.flare_dummy_slots.append(slot)
-        # module window dummies (4 KiB grain)
-        for slot in range(layout.MODULE_SLOTS):
-            va = layout.MODULE_START + slot * PAGE_SIZE
-            if self.kernel_space.translate(va) is None:
-                self.kernel_space.map_range(va, PAGE_SIZE, _KTEXT)
+        for first, count in _free_runs(text_taken):
+            self.kernel_space.map_range(
+                layout.kernel_base_of_slot(first), count * PAGE_SIZE_2M,
+                _KTEXT, page_size=PAGE_SIZE_2M,
+            )
+            self.flare_dummy_slots.extend(range(first, first + count))
+        for first, count in _free_runs(module_taken):
+            self.kernel_space.map_range(
+                layout.MODULE_START + first * PAGE_SIZE, count * PAGE_SIZE,
+                _KTEXT,
+            )
 
     def rerandomize(self):
         """Mid-run KASLR re-randomization: move the image to a fresh base.

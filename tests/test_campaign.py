@@ -25,6 +25,7 @@ from repro.campaign import (
     fold_records,
     plan_units,
     replay,
+    strip_wall_stamps,
 )
 from repro.campaign.pool import FAILED, OK, SKIPPED
 from repro.cli import main
@@ -347,9 +348,8 @@ class TestCampaignRunner:
         size = journal.stat().st_size
         second = CampaignRunner(journal).run(resume=True)
         assert journal.stat().st_size == size  # nothing re-journaled
-        strip = ("generated_at", "wall_elapsed_s")
-        assert {k: v for k, v in first.store.items() if k not in strip} \
-            == {k: v for k, v in second.store.items() if k not in strip}
+        assert strip_wall_stamps(first.store) \
+            == strip_wall_stamps(second.store)
 
     def test_resume_refuses_changed_scenario(self, scenario_dir, tmp_path):
         journal = tmp_path / "c.jsonl"
@@ -416,10 +416,8 @@ class TestCampaignCli:
         return env
 
     def _strip(self, store_path):
-        store = json.loads(pathlib.Path(store_path).read_text())
-        store.pop("generated_at")
-        store.pop("wall_elapsed_s")
-        return store
+        return strip_wall_stamps(
+            json.loads(pathlib.Path(store_path).read_text()))
 
     def test_sigkill_parent_then_resume_is_deterministic(
             self, scenario_dir, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_2M
+from repro.mmu.flags import PageFlags
 from repro.os.linux import layout
 from repro.os.linux.kaslr import KASLRPolicy
 from repro.os.linux.kernel import SYSCALL_TABLE, LinuxKernel
@@ -233,6 +234,42 @@ class TestFlare:
         for slot in range(0, layout.MODULE_SLOTS, 1111):
             va = layout.MODULE_START + slot * PAGE_SIZE
             assert kernel.kernel_space.translate(va) is not None
+
+    @staticmethod
+    def _page_at_a_time(kernel):
+        """FLARE dummies one slot at a time, a translate per slot."""
+        space = kernel.kernel_space
+        image = layout.kernel_slot_of(kernel.base)
+        slots = []
+        for slot in range(layout.KERNEL_TEXT_SLOTS):
+            va = layout.kernel_base_of_slot(slot)
+            if image <= slot < image + kernel.image_2m_pages \
+                    or space.translate(va) is not None:
+                continue
+            space.map_range(va, PAGE_SIZE_2M, PageFlags.PRESENT,
+                            page_size=PAGE_SIZE_2M)
+            slots.append(slot)
+        for slot in range(layout.MODULE_SLOTS):
+            va = layout.MODULE_START + slot * PAGE_SIZE
+            if space.translate(va) is None:
+                space.map_range(va, PAGE_SIZE, PageFlags.PRESENT)
+        return slots
+
+    @staticmethod
+    def _leaves(kernel):
+        return [(va, t.pfn, t.flags, size) for va, t, size
+                in kernel.kernel_space.page_table.iter_terminal()]
+
+    @pytest.mark.parametrize("seed", [1, 4, 7])
+    @pytest.mark.parametrize("fgkaslr", [False, True])
+    def test_run_mapping_matches_page_at_a_time(self, seed, fgkaslr):
+        kernel = LinuxKernel(seed=seed, flare=True, fgkaslr=fgkaslr)
+        reference = LinuxKernel(seed=seed, fgkaslr=fgkaslr)
+        slots = self._page_at_a_time(reference)
+        assert kernel.flare_dummy_slots == slots
+        assert self._leaves(kernel) == self._leaves(reference)
+        assert kernel.kernel_space.frames.allocated_count \
+            == reference.kernel_space.frames.allocated_count
 
 
 class TestKernelActivity:

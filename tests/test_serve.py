@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.campaign.coordinator import ShardedCampaignRunner
+from repro.campaign import ShardedCampaignRunner, strip_wall_stamps
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.errors import (
     CampaignError,
@@ -38,6 +38,7 @@ from repro.serve.breaker import (
 )
 from repro.serve.client import ServeClient
 from repro.serve.quota import QuotaLedger, TenantQuota, load_tenant_quotas
+from repro.serve.scheduler import FairShareScheduler
 from repro.serve.server import ServeServer
 from repro.serve.backend import ServeBackend
 
@@ -66,13 +67,6 @@ def _scenario_spec(seed=3):
         "attack": {"kind": "kaslr", "params": {"trials": 2}},
         "expect": {"correct": True},
     }
-
-
-def _strip_wall(store):
-    store = dict(store)
-    store.pop("generated_at", None)
-    store.pop("wall_elapsed_s", None)
-    return store
 
 
 # -- protocol ------------------------------------------------------------------
@@ -286,9 +280,10 @@ class TestArtifactRotation:
 
 
 def _start_server(tmp_path, quota=None, ledger=None, shards=2, jobs=2,
-                  max_queue=64, name="serve.sock", **kwargs):
+                  max_queue=64, name="serve.sock", scheduler=None,
+                  **kwargs):
     backend = ServeBackend(tmp_path / "state", shards=shards, jobs=jobs,
-                           watchdog_s=60.0)
+                           watchdog_s=60.0, scheduler=scheduler)
     if ledger is None:
         ledger = QuotaLedger(quota or TenantQuota())
     server = ServeServer(backend, ledger,
@@ -296,6 +291,20 @@ def _start_server(tmp_path, quota=None, ledger=None, shards=2, jobs=2,
                          max_queue=max_queue, **kwargs)
     server.start()
     return server
+
+
+class _GatedScheduler(FairShareScheduler):
+    """Dispatches nothing until ``gate`` is set: admitted work stays in
+    flight for exactly as long as a test needs it to."""
+
+    def __init__(self):
+        super(_GatedScheduler, self).__init__()
+        self.gate = threading.Event()
+
+    def take(self, room):
+        if not self.gate.is_set():
+            return []
+        return super(_GatedScheduler, self).take(room)
 
 
 class TestServeService:
@@ -357,6 +366,44 @@ class TestServeService:
             assert reply["quota"] == "units-in-flight"
             assert reply["tenant"] == "greedy"
         finally:
+            server.drain(timeout=60.0)
+
+    def test_requests_in_flight_quota_refuses_every_extra_submit(
+            self, tmp_path):
+        scheduler = _GatedScheduler()
+        server = _start_server(
+            tmp_path, quota=TenantQuota(max_requests=1, max_units=8),
+            scheduler=scheduler,
+        )
+        try:
+            with ServeClient(server.address).connect("capped") as held:
+                reply = held.submit("held", scenario=_scenario_spec(),
+                                    wait=False)
+                assert reply["type"] == "accepted", reply
+                for index in range(5):
+                    with ServeClient(server.address) \
+                            .connect("capped") as client:
+                        reply = client.submit(
+                            "extra{}".format(index),
+                            scenario=_scenario_spec(seed=index),
+                            wait=False,
+                        )
+                    assert reply["type"] == "rejected", reply
+                    assert reply["error"] == "QuotaExceeded", reply
+                    assert reply["quota"] == "requests-in-flight", reply
+                assert server.ledger.snapshot()["capped"]["requests"] == 1
+                scheduler.gate.set()
+                while True:
+                    reply = held.recv()
+                    if reply.get("id") == "held" \
+                            and reply["type"] not in ("event", "accepted"):
+                        break
+            assert reply["type"] == "verdict", reply
+            assert reply["status"] == "done", reply
+            # the quota is released before the verdict is sent
+            assert server.ledger.snapshot()["capped"]["requests"] == 0
+        finally:
+            scheduler.gate.set()
             server.drain(timeout=60.0)
 
     def test_queue_full_is_overloaded(self, tmp_path):
@@ -453,7 +500,7 @@ class TestServeService:
                           "seed": 5},
                 )
             assert verdict["status"] == "done" and verdict["ok"]
-            served = _strip_wall(json.loads(
+            served = strip_wall_stamps(json.loads(
                 pathlib.Path(verdict["store"]).read_text()
             ))
         finally:
@@ -462,7 +509,7 @@ class TestServeService:
             tmp_path / "offline.jsonl", directory=str(scenarios),
             shards=2, jobs=2, seed=5, watchdog_s=60.0,
         ).run()
-        assert served == _strip_wall(offline.store)
+        assert served == strip_wall_stamps(offline.store)
 
     def test_drain_restart_resubmit_reaches_offline_store(self, tmp_path):
         scenarios = _write_scenarios(tmp_path / "plan", 5)
@@ -494,7 +541,7 @@ class TestServeService:
                           "seed": 7},
                 )
             assert verdict["status"] == "done" and verdict["ok"]
-            served = _strip_wall(json.loads(
+            served = strip_wall_stamps(json.loads(
                 pathlib.Path(verdict["store"]).read_text()
             ))
         finally:
@@ -503,7 +550,7 @@ class TestServeService:
             tmp_path / "offline.jsonl", directory=str(scenarios),
             shards=2, jobs=2, seed=7, watchdog_s=60.0,
         ).run()
-        assert served == _strip_wall(offline.store)
+        assert served == strip_wall_stamps(offline.store)
 
     def test_deadline_expired_queue_skips_with_typed_verdict(self, tmp_path):
         server = _start_server(tmp_path)
@@ -586,10 +633,8 @@ class TestCampaignSignals:
         return env
 
     def _strip(self, store_path):
-        store = json.loads(pathlib.Path(store_path).read_text())
-        store.pop("generated_at")
-        store.pop("wall_elapsed_s")
-        return store
+        return strip_wall_stamps(
+            json.loads(pathlib.Path(store_path).read_text()))
 
     def test_sigterm_drains_seals_and_resumes_identically(self, tmp_path):
         scenarios = _write_scenarios(tmp_path / "scenarios", 8, trials=4)

@@ -26,6 +26,7 @@ from repro.campaign import (
     fold_records,
     fsck_journal,
     replay,
+    strip_wall_stamps,
 )
 from repro.campaign.coordinator import campaign_status, merged_records
 from repro.campaign.shard import shard_journal_path, shard_of
@@ -54,13 +55,6 @@ def scenario_dir(tmp_path):
         _write_scenario(directory, "unit-{:02d}".format(index),
                         seed=50 + index)
     return directory
-
-
-def _strip(store):
-    store = dict(store)
-    store.pop("generated_at")
-    store.pop("wall_elapsed_s")
-    return store
 
 
 # -- partitioning --------------------------------------------------------------
@@ -110,7 +104,8 @@ class TestShardedDeterminism:
             tmp_path / "b.jsonl", directory=scenario_dir, shards=2,
             jobs=2, seed=5,
         ).run()
-        assert _strip(first.store) == _strip(second.store)
+        assert strip_wall_stamps(first.store) \
+            == strip_wall_stamps(second.store)
 
     def test_refuses_overwrite_without_resume(self, scenario_dir,
                                               tmp_path):
@@ -132,7 +127,8 @@ class TestShardedDeterminism:
         again = ShardedCampaignRunner(
             tmp_path / "c.jsonl", shards=2,
         ).run(resume=True)
-        assert _strip(first.store) == _strip(again.store)
+        assert strip_wall_stamps(first.store) \
+            == strip_wall_stamps(again.store)
 
 
 # -- quarantine + work stealing ------------------------------------------------
@@ -312,7 +308,8 @@ class TestShardedFsck:
         report = ShardedCampaignRunner(
             tmp_path / "c.jsonl", shards=2,
         ).run(resume=True)
-        assert _strip(report.store) == _strip(clean.store)
+        assert strip_wall_stamps(report.store) \
+            == strip_wall_stamps(clean.store)
 
     def test_fsck_torn_tail_is_left_alone(self, scenario_dir, tmp_path):
         ShardedCampaignRunner(
@@ -390,4 +387,5 @@ class TestShardedCli:
             (tmp_path / "clean.results.json").read_text())
         killed_store = json.loads(
             (tmp_path / "killed.results.json").read_text())
-        assert _strip(clean_store) == _strip(killed_store)
+        assert strip_wall_stamps(clean_store) \
+            == strip_wall_stamps(killed_store)
