@@ -209,6 +209,7 @@ class ShardedCampaignRunner:
         from exactly this state.
         """
         self._draining.set()
+        self._ring_shards()
 
     def status(self):
         """Read-only fabric-wide view: ``(meta, folded)``."""
@@ -376,10 +377,19 @@ class ShardedCampaignRunner:
 
         Own backlog first; an empty backlog steals from the richest
         other backlog (each steal journaled + traced *before* the unit
-        changes hands).  Returns ``[]`` -- keep polling -- while other
-        shards still hold backlog or outstanding units that could yet
-        be requeued, and ``None`` -- exhausted, shut down -- once
-        nothing anywhere could become this shard's work.
+        changes hands).  Returns ``[]`` -- the shard waits for its
+        doorbell -- while other shards still hold backlog or outstanding
+        units that could yet be requeued, and ``None`` -- exhausted,
+        shut down -- once nothing anywhere could become this shard's
+        work.
+
+        Only two events turn a ``[]`` into something else, and both
+        ring every shard: :meth:`shard_exited` (requeued units become
+        stealable; a finished shard's exit turns ``[]`` into ``None``)
+        and :meth:`request_drain`.  A resolved unit needs no ring of its
+        own: an idle shard waits only on other shards' outstanding
+        units, and the last shard to resolve one then exits -- which
+        rings.
         """
         if self._draining.is_set():
             # graceful drain: nothing new changes hands; undelivered
@@ -446,6 +456,9 @@ class ShardedCampaignRunner:
             outstanding = list(self._handed[shard.index].values())
             self._handed[shard.index].clear()
             self._backlogs[shard.index].extend(outstanding)
+        # requeued units are stealable now, and with this shard gone
+        # nothing may be outstanding any more
+        self._ring_shards()
         if shard.state == DEAD:
             self.emit_event(
                 "shard-quarantined", shard=shard.index,
@@ -456,6 +469,10 @@ class ShardedCampaignRunner:
         else:
             self.emit_event("shard-exit", shard=shard.index,
                             state=shard.state)
+
+    def _ring_shards(self):
+        for shard in self._shard_objs:
+            shard.doorbell.ring()
 
     def emit_event(self, kind, **fields):
         if self.event_sink is not None:

@@ -23,7 +23,14 @@ missing supervision:
 * **deadlines** -- past ``deadline`` (a ``time.monotonic`` value), no
   new unit is launched (queued units come back ``skipped``) and units
   that finish late are flagged so the campaign can degrade, rather
-  than drop, their verdicts.
+  than drop, their verdicts;
+* **wake-on-work** -- a pool fed incrementally waits on a
+  :class:`Doorbell` that its work source rings, so a unit launches the
+  moment it is queued instead of on the next supervision tick;
+* **worker hygiene** -- workers take SIGTERM's default action (the
+  teardown's SIGTERM kills them, which is how recovery recognises a
+  bystander), ignore SIGINT (Ctrl-C drains through the parent only)
+  and exit once their parent has died.
 
 The pool is generic: ``run(units, worker)`` takes ``(unit_id,
 payload)`` pairs and any picklable module-level ``worker(payload)``.
@@ -50,6 +57,9 @@ SKIPPED = "skipped"
 #: default seconds without a heartbeat before a worker counts as frozen
 STALE_AFTER_S = 5.0
 
+#: how often a worker checks that the process that started it is alive
+ORPHAN_CHECK_S = 0.5
+
 
 def seeded_jitter(seed, key, n):
     """Deterministic jitter factor in ``[1, 2)``.
@@ -64,6 +74,37 @@ def seeded_jitter(seed, key, n):
         "{}:{}:{}".format(seed, key, n).encode("utf-8")
     ) / float(0xFFFFFFFF)
     return 1.0 + draw
+
+
+class Doorbell:
+    """A re-armable wake-up between a work source and a waiting pool.
+
+    A ``concurrent.futures.Future`` behind a lock, so the pool can wait
+    on it together with its in-flight futures.  The pool calls
+    :meth:`arm` *before* asking its feed for work and then waits on the
+    returned future; a producer calls :meth:`ring` *after* making work
+    visible to the feed.  A ring that lands between "the feed returned
+    nothing" and the wait resolves the armed future, so it is never
+    lost; a ring before the arm is covered by the feed call that
+    follows it.  Rings while the bell is already fired coalesce.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._future = concurrent.futures.Future()
+
+    def arm(self):
+        """Return the future the next ring resolves (fresh once fired)."""
+        with self._lock:
+            if self._future.done():
+                self._future = concurrent.futures.Future()
+            return self._future
+
+    def ring(self):
+        """Wake the pool waiting on the armed future (idempotent)."""
+        with self._lock:
+            if not self._future.done():
+                self._future.set_result(None)
 
 
 class PoolOutcome:
@@ -108,6 +149,31 @@ class _Task:
 # -- worker-side plumbing ------------------------------------------------------
 
 
+def _exit_when_orphaned(parent):
+    while os.getppid() == parent:
+        time.sleep(ORPHAN_CHECK_S)
+    os._exit(1)
+
+
+def _worker_init():
+    """Executor initializer: reset inherited signals, watch the parent.
+
+    A worker forks from a parent that may have installed a Python
+    SIGTERM/SIGINT handler (the CLI's graceful drain, the server's).
+    Inherited, it would make the worker ignore the teardown's SIGTERM:
+    :meth:`SupervisedPool._nuke` would stall on the join and
+    :meth:`SupervisedPool._recover` would charge bystanders.  Ctrl-C
+    reaches the whole process group; only the parent drains.  A worker
+    whose parent was SIGKILLed would otherwise block on its call queue
+    forever.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True,
+    ).start()
+
+
 def _beat_loop(path, stop, interval):
     while not stop.wait(interval):
         try:
@@ -150,9 +216,11 @@ class SupervisedPool:
     ``max_retries`` bounds charged re-launches per unit, spaced by
     ``backoff_base_s * 2**(attempt-1)`` -- stretched by seeded jitter
     when ``seed`` is given (see :meth:`_backoff_s`); ``tick_s`` is the
-    supervision loop's poll interval (latency/CPU trade-off, no effect
-    on results); ``faults`` lets an infra fault injector skew the clock
-    the heartbeat watchdog reads through.
+    watchdog/heartbeat cadence -- the supervision loop wakes at least
+    this often -- and the upper bound on the launch delay a missed
+    doorbell ring can cost (no effect on results); ``faults`` lets an
+    infra fault injector skew the clock the heartbeat watchdog reads
+    through.
 
     ``beat_root`` anchors the per-run heartbeat directory: by default
     beat files live in a fresh system temp directory, but a campaign
@@ -188,7 +256,7 @@ class SupervisedPool:
 
     def run(self, units, worker, deadline=None, on_start=None,
             on_finish=None, on_retry=None, on_skip=None, feed=None,
-            feed_priority=None, drain=None):
+            feed_priority=None, drain=None, doorbell=None):
         """Run ``(unit_id, payload)`` pairs; return {unit_id: PoolOutcome}.
 
         Callbacks (all optional) fire in the parent, in submission
@@ -200,11 +268,11 @@ class SupervisedPool:
         ``feed`` (optional) is an incremental work source: called as
         ``feed(room)`` whenever the pool has capacity, it returns up to
         ``room`` more ``(unit_id, payload)`` pairs, an empty list when
-        nothing is available *right now* (the pool keeps polling -- how
-        a shard waits for stealable work), or None when the source is
-        exhausted for good.  The initial ``units`` list still runs
-        first; a shard passes ``units=[]`` and lives entirely off its
-        coordinator's feed.
+        nothing is available *right now* (the pool waits for a ring on
+        ``doorbell`` -- how a shard waits for stealable work), or None
+        when the source is exhausted for good.  The initial ``units``
+        list still runs first; a shard passes ``units=[]`` and lives
+        entirely off its coordinator's feed.
 
         ``feed_priority`` (optional) is a key function ``(unit_id,
         payload) -> sortable`` applied to the *pending* queue after
@@ -221,6 +289,13 @@ class SupervisedPool:
         pending in the campaign journal, exactly what a resume needs)
         while in-flight units finish normally.  This is the graceful
         SIGTERM path: finish what is running, journal it, stop.
+
+        ``doorbell`` (optional) is the :class:`Doorbell` the feed's
+        producer rings after queuing work (and a drainer rings after
+        setting ``drain``).  Every wait of the loop -- idle, retry
+        backoff, in flight -- also returns on a ring, so new work
+        launches at once; each wait still times out at ``tick_s``.
+        Without one the loop simply sleeps out each tick.
         """
         results = {}
         queue = collections.deque(_Task(uid, payload)
@@ -229,12 +304,17 @@ class SupervisedPool:
         in_flight = {}
         executor = None
         exhausted = feed is None
+        armed = None
         if self.beat_root is not None:
             os.makedirs(self.beat_root, exist_ok=True)
         beat_dir = tempfile.mkdtemp(prefix=self.beat_prefix,
                                     dir=self.beat_root)
         try:
             while True:
+                if doorbell is not None:
+                    # armed before the feed and drain are read: a ring
+                    # after this point cuts the coming wait short
+                    armed = doorbell.arm()
                 if drain is not None and drain.is_set():
                     # graceful drain: abandon (don't skip) pending work,
                     # let the in-flight units run to their journaled end
@@ -262,7 +342,7 @@ class SupervisedPool:
                 if not (queue or waiting or in_flight):
                     if exhausted:
                         break
-                    time.sleep(self.tick_s)
+                    self._nap(self.tick_s, armed)
                     continue
                 now = time.monotonic()
                 ripe = [t for t in waiting if t.eligible_at <= now]
@@ -308,17 +388,21 @@ class SupervisedPool:
                     if waiting:
                         pause = min(t.eligible_at for t in waiting) \
                             - time.monotonic()
-                        time.sleep(max(0.0, min(pause, self.tick_s)))
+                        self._nap(max(0.0, min(pause, self.tick_s)), armed)
                         continue
                     if exhausted:
                         break
-                    time.sleep(self.tick_s)
+                    self._nap(self.tick_s, armed)
                     continue
 
+                watched = list(in_flight)
+                if armed is not None:
+                    watched.append(armed)
                 done, __ = concurrent.futures.wait(
-                    list(in_flight), timeout=self.tick_s,
+                    watched, timeout=self.tick_s,
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
+                done.discard(armed)
                 broken = False
                 for future in done:
                     task = in_flight.pop(future)
@@ -382,9 +466,17 @@ class SupervisedPool:
             return delay
         return delay * seeded_jitter(self.seed, unit_id, attempts)
 
+    @staticmethod
+    def _nap(seconds, armed):
+        """Sleep ``seconds``, or less if the armed doorbell rings."""
+        if armed is None:
+            time.sleep(seconds)
+        else:
+            concurrent.futures.wait([armed], timeout=seconds)
+
     def _spawn(self):
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.jobs
+            max_workers=self.jobs, initializer=_worker_init,
         )
 
     @staticmethod

@@ -29,7 +29,7 @@ import zlib
 
 from repro.campaign import journal as wal
 from repro.campaign.journal import CampaignJournal
-from repro.campaign.pool import SupervisedPool
+from repro.campaign.pool import Doorbell, SupervisedPool
 from repro.campaign.runner import _run_unit, outcome_result
 
 #: shard lifecycle states
@@ -86,6 +86,9 @@ class Shard:
         self.beat_root = beat_root
         self.beat_prefix = beat_prefix
         self.journal = CampaignJournal(journal_path, faults=faults)
+        #: the coordinator rings it whenever this shard's feed may have
+        #: changed its answer (a shard exited, a drain was requested)
+        self.doorbell = Doorbell()
         self.state = IDLE
         self.failure = None
         self._thread = None
@@ -128,6 +131,7 @@ class Shard:
                 on_skip=self._on_skip,
                 on_finish=self._on_finish,
                 drain=self.drain,
+                doorbell=self.doorbell,
             )
             self._append(wal.SHARD_FINISH, shard=self.index)
             self.state = DONE

@@ -38,7 +38,7 @@ import threading
 import time
 
 from repro.campaign.coordinator import ShardedCampaignRunner
-from repro.campaign.pool import SupervisedPool
+from repro.campaign.pool import Doorbell, SupervisedPool
 from repro.campaign.runner import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_WATCHDOG_S,
@@ -161,6 +161,9 @@ class ServeBackend:
         self._plan_runners = {}
         self._plan_threads = []
         self._drain = threading.Event()
+        #: rung after every push and on drain: the pool launches a
+        #: submission the moment it is queued, not on its next tick
+        self._doorbell = Doorbell()
         self._pool_thread = None
 
     # -- lifecycle -------------------------------------------------------------
@@ -185,6 +188,7 @@ class ServeBackend:
         and every plan runner thread have ended, or ``timeout``.
         """
         self._drain.set()
+        self._doorbell.ring()
         with self._lock:
             runners = list(self._plan_runners.values())
             threads = list(self._plan_threads)
@@ -257,6 +261,7 @@ class ServeBackend:
                 sub.tenant, sub.rid, (sub, str(path)),
                 deadline=sub.deadline,
             )
+        self._doorbell.ring()
 
     def submit_plan(self, sub, plan):
         """Launch (or resume) a sharded campaign for ``plan``."""
@@ -345,6 +350,7 @@ class ServeBackend:
                     feed_priority=self._feed_rank,
                     on_retry=self._on_retry,
                     on_finish=self._on_finish,
+                    doorbell=self._doorbell,
                 )
             except Exception as error:  # noqa: BLE001
                 self.breakers.backend.record_failure()

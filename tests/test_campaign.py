@@ -12,6 +12,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -27,7 +28,7 @@ from repro.campaign import (
     replay,
     strip_wall_stamps,
 )
-from repro.campaign.pool import FAILED, OK, SKIPPED
+from repro.campaign.pool import FAILED, OK, SKIPPED, Doorbell
 from repro.cli import main
 from repro.errors import CampaignError, JournalConflict, JournalCorrupt
 from repro.scenarios import ScenarioResult, run_suite
@@ -56,6 +57,12 @@ def _flaky_worker(payload):
         return "survived"
     if kind == "die-always":
         os.kill(os.getpid(), signal.SIGKILL)
+    if kind == "nap":
+        time.sleep(payload["s"])
+        return "rested"
+    if kind == "exit-after":
+        time.sleep(payload["s"])
+        os._exit(1)
     raise ValueError(kind)
 
 
@@ -247,6 +254,88 @@ class TestSupervisedPool:
         assert outcomes["skipped"].status == SKIPPED
         assert outcomes["skipped"].detail == "deadline"
 
+    def test_bystander_rides_free_despite_inherited_sigterm_handler(self):
+        # the CLI and the server install Python SIGTERM handlers before
+        # the pool forks; a worker must not inherit one, or the
+        # teardown's SIGTERM is ignored and the bystander is charged
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            pool = SupervisedPool(jobs=2, max_retries=1,
+                                  backoff_base_s=0.01, tick_s=0.05)
+            outcomes = pool.run(
+                [("a", {"kind": "exit-after", "s": 0.3}),
+                 ("b", {"kind": "nap", "s": 4.0})],
+                _flaky_worker,
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert outcomes["a"].status == FAILED
+        assert outcomes["b"].status == OK
+        assert outcomes["b"].attempts == 1
+
+    # With tick_s=30 a lost doorbell ring shows up as a ~30 s hang.
+
+    def test_ring_launches_fed_work_without_waiting_a_tick(self):
+        bell = Doorbell()
+        lock = threading.Lock()
+        pending = []
+        fed = []
+        finished = []
+
+        def feed(room):
+            with lock:
+                batch = pending[:room]
+                del pending[:room]
+                fed.extend(batch)
+                if batch or len(fed) < 2:
+                    return batch
+                return None
+
+        def produce():
+            # the first unit lands on an idle pool, the second while
+            # the first is still in flight
+            for unit in (("slow", {"kind": "nap", "s": 3.0}),
+                         ("quick", {"kind": "square", "n": 7})):
+                time.sleep(0.3)
+                with lock:
+                    pending.append(unit)
+                bell.ring()
+
+        producer = threading.Thread(target=produce)
+        pool = SupervisedPool(jobs=2, tick_s=30.0)
+        start = time.monotonic()
+        producer.start()
+        outcomes = pool.run(
+            [], _flaky_worker, feed=feed, doorbell=bell,
+            on_finish=lambda uid, outcome: finished.append(uid),
+        )
+        elapsed = time.monotonic() - start
+        producer.join(5.0)
+        assert not producer.is_alive()
+        assert outcomes["quick"].value == 49
+        assert outcomes["slow"].value == "rested"
+        assert finished == ["quick", "slow"]
+        assert elapsed < 5.0
+
+    def test_drain_and_ring_stop_an_idle_pool(self):
+        bell = Doorbell()
+        drain = threading.Event()
+
+        def stop():
+            time.sleep(0.3)
+            drain.set()
+            bell.ring()
+
+        stopper = threading.Thread(target=stop)
+        pool = SupervisedPool(jobs=1, tick_s=30.0)
+        start = time.monotonic()
+        stopper.start()
+        outcomes = pool.run([], _flaky_worker, feed=lambda room: [],
+                            drain=drain, doorbell=bell)
+        stopper.join(5.0)
+        assert outcomes == {}
+        assert time.monotonic() - start < 5.0
+
 
 # -- run_suite resilience (timeout + lost workers) -----------------------------
 
@@ -420,7 +509,7 @@ class TestCampaignCli:
             json.loads(pathlib.Path(store_path).read_text()))
 
     def test_sigkill_parent_then_resume_is_deterministic(
-            self, scenario_dir, tmp_path):
+            self, scenario_dir, tmp_path, assert_no_orphans):
         clean = tmp_path / "clean.jsonl"
         subprocess.run(
             self._campaign_cmd(scenario_dir, clean), env=self._env(),
@@ -447,6 +536,8 @@ class TestCampaignCli:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+        # the dead parent's pool workers exit on their own
+        assert_no_orphans(killed)
 
         subprocess.run(
             self._campaign_cmd(scenario_dir, killed, verb="resume"),

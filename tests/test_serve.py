@@ -7,6 +7,7 @@ cycle) produces the same result store, modulo the two wall-clock
 fields, as an offline ``repro campaign run``.
 """
 
+import functools
 import json
 import os
 import pathlib
@@ -19,7 +20,11 @@ import time
 
 import pytest
 
-from repro.campaign import ShardedCampaignRunner, strip_wall_stamps
+from repro.campaign import (
+    ShardedCampaignRunner,
+    SupervisedPool,
+    strip_wall_stamps,
+)
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.errors import (
     CampaignError,
@@ -40,7 +45,8 @@ from repro.serve.client import ServeClient
 from repro.serve.quota import QuotaLedger, TenantQuota, load_tenant_quotas
 from repro.serve.scheduler import FairShareScheduler
 from repro.serve.server import ServeServer
-from repro.serve.backend import ServeBackend
+from repro.serve import backend as backend_module
+from repro.serve.backend import ServeBackend, Submission
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -567,6 +573,29 @@ class TestServeService:
                 assert verdict["result"]["degraded"] == "deadline"
         finally:
             server.drain(timeout=60.0)
+
+
+class TestWakeOnWork:
+    def test_idle_backend_launches_each_submission_at_once(
+            self, tmp_path, monkeypatch):
+        # a 30 s tick turns a lost doorbell ring into a ~30 s hang
+        monkeypatch.setattr(backend_module, "SupervisedPool",
+                            functools.partial(SupervisedPool, tick_s=30.0))
+        backend = ServeBackend(tmp_path / "state", shards=1, jobs=1)
+        backend.start()
+        try:
+            for n in range(3):
+                sub = Submission("alice.r{}".format(n), "alice",
+                                 "r{}".format(n), "scenario", 1)
+                backend.submit_scenario(sub, _scenario_spec(seed=n))
+                assert sub.done.wait(5.0), "unit {} waited a tick".format(n)
+                assert sub.verdict["status"] == "done"
+        finally:
+            start = time.monotonic()
+            backend.drain(timeout=60.0)
+            drained_in = time.monotonic() - start
+        assert not backend._pool_thread.is_alive()
+        assert drained_in < 5.0
 
 
 # -- serve CLI -----------------------------------------------------------------

@@ -8,6 +8,8 @@ must dedup (identical) or raise (conflicting); a corrupt shard journal
 must route through `repro campaign fsck` and come back resumable.
 """
 
+import errno
+import functools
 import json
 import os
 import pathlib
@@ -29,12 +31,20 @@ from repro.campaign import (
     strip_wall_stamps,
 )
 from repro.campaign.coordinator import campaign_status, merged_records
-from repro.campaign.shard import shard_journal_path, shard_of
+from repro.campaign import shard as shard_module
+from repro.campaign.shard import Shard, shard_journal_path, shard_of
 from repro.cli import main
 from repro.errors import CampaignError, JournalCorrupt
 from repro.obs.schema import load_trace
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture
+def slow_tick(monkeypatch):
+    """Shard pools tick every 30 s: a lost doorbell ring hangs ~30 s."""
+    monkeypatch.setattr(shard_module, "SupervisedPool", functools.partial(
+        SupervisedPool, tick_s=30.0))
 
 
 def _write_scenario(directory, name, seed):
@@ -107,6 +117,23 @@ class TestShardedDeterminism:
         assert strip_wall_stamps(first.store) \
             == strip_wall_stamps(second.store)
 
+    def test_idle_shards_wake_without_waiting_a_tick(
+            self, scenario_dir, tmp_path, slow_tick):
+        start = time.monotonic()
+        sharded = ShardedCampaignRunner(
+            tmp_path / "sharded.jsonl", directory=scenario_dir,
+            shards=4, jobs=4, seed=7,
+        ).run()
+        assert time.monotonic() - start < 10.0
+        single = CampaignRunner(
+            tmp_path / "single.jsonl", directory=scenario_dir,
+            jobs=4, seed=7,
+        ).run()
+        # the campaign blocks differ by design (the shard count is part
+        # of a campaign's identity); everything the units produced agrees
+        assert sharded.store["units"] == single.store["units"]
+        assert sharded.store["summary"] == single.store["summary"]
+
     def test_refuses_overwrite_without_resume(self, scenario_dir,
                                               tmp_path):
         runner = ShardedCampaignRunner(
@@ -167,6 +194,30 @@ class TestQuarantineAndStealing:
         counters = [r for r in trace if r.get("type") == "metrics"][0]
         assert counters["counters"]["campaign.steals"] == report.steals
         assert counters["counters"]["campaign.faults.enospc"] >= 1
+
+    def test_quarantined_shards_units_are_stolen_without_a_tick(
+            self, scenario_dir, tmp_path, monkeypatch, slow_tick):
+        # shard 0 dies holding its first feed batch, long after shard 1
+        # ran out of work: only the quarantine's ring can wake shard 1
+        on_start = Shard._on_start
+
+        def dying_start(shard, unit_id, attempt):
+            if shard.index == 0:
+                time.sleep(2.0)
+                raise OSError(errno.EIO, "injected: shard 0 disk died")
+            on_start(shard, unit_id, attempt)
+
+        monkeypatch.setattr(Shard, "_on_start", dying_start)
+        start = time.monotonic()
+        report = ShardedCampaignRunner(
+            tmp_path / "c.jsonl", directory=scenario_dir, shards=2,
+            jobs=2, seed=3,
+        ).run()
+        assert time.monotonic() - start < 10.0
+        assert report.ok
+        assert report.summary["passed"] == 8
+        assert report.shard_states == {0: "dead", 1: "done"}
+        assert report.steals > 0
 
     def test_all_shards_dead_degrades_cleanly(self, scenario_dir,
                                               tmp_path):
@@ -351,7 +402,7 @@ class TestShardedCli:
         return env
 
     def test_sigkill_coordinator_then_resume_is_deterministic(
-            self, scenario_dir, tmp_path):
+            self, scenario_dir, tmp_path, assert_no_orphans):
         clean = tmp_path / "clean.jsonl"
         subprocess.run(
             self._cmd(scenario_dir, clean), env=self._env(),
@@ -378,6 +429,8 @@ class TestShardedCli:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+        # the dead coordinator's pool workers exit on their own
+        assert_no_orphans(killed)
 
         subprocess.run(
             self._cmd(scenario_dir, killed, verb="resume"),
