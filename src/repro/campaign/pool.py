@@ -155,8 +155,8 @@ def _exit_when_orphaned(parent):
     os._exit(1)
 
 
-def _worker_init():
-    """Executor initializer: reset inherited signals, watch the parent.
+def _worker_init(parent):
+    """Executor initializer: reset inherited signals, watch ``parent``.
 
     A worker forks from a parent that may have installed a Python
     SIGTERM/SIGINT handler (the CLI's graceful drain, the server's).
@@ -165,12 +165,14 @@ def _worker_init():
     :meth:`SupervisedPool._recover` would charge bystanders.  Ctrl-C
     reaches the whole process group; only the parent drains.  A worker
     whose parent was SIGKILLed would otherwise block on its call queue
-    forever.
+    forever.  ``parent`` is the pid the pool read before forking: read
+    here, a parent killed before the initializer ran would already be
+    the reaper's pid, and the watch would never fire.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(
-        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True,
+        target=_exit_when_orphaned, args=(parent,), daemon=True,
     ).start()
 
 
@@ -295,7 +297,8 @@ class SupervisedPool:
         setting ``drain``).  Every wait of the loop -- idle, retry
         backoff, in flight -- also returns on a ring, so new work
         launches at once; each wait still times out at ``tick_s``.
-        Without one the loop simply sleeps out each tick.
+        Without one the pool uses a private bell nobody rings, so its
+        waits simply run out each tick.
         """
         results = {}
         queue = collections.deque(_Task(uid, payload)
@@ -304,17 +307,17 @@ class SupervisedPool:
         in_flight = {}
         executor = None
         exhausted = feed is None
-        armed = None
+        if doorbell is None:
+            doorbell = Doorbell()
         if self.beat_root is not None:
             os.makedirs(self.beat_root, exist_ok=True)
         beat_dir = tempfile.mkdtemp(prefix=self.beat_prefix,
                                     dir=self.beat_root)
         try:
             while True:
-                if doorbell is not None:
-                    # armed before the feed and drain are read: a ring
-                    # after this point cuts the coming wait short
-                    armed = doorbell.arm()
+                # armed before the feed and drain are read: a ring
+                # after this point cuts the coming wait short
+                armed = doorbell.arm()
                 if drain is not None and drain.is_set():
                     # graceful drain: abandon (don't skip) pending work,
                     # let the in-flight units run to their journaled end
@@ -395,11 +398,8 @@ class SupervisedPool:
                     self._nap(self.tick_s, armed)
                     continue
 
-                watched = list(in_flight)
-                if armed is not None:
-                    watched.append(armed)
                 done, __ = concurrent.futures.wait(
-                    watched, timeout=self.tick_s,
+                    [*in_flight, armed], timeout=self.tick_s,
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
                 done.discard(armed)
@@ -469,14 +469,12 @@ class SupervisedPool:
     @staticmethod
     def _nap(seconds, armed):
         """Sleep ``seconds``, or less if the armed doorbell rings."""
-        if armed is None:
-            time.sleep(seconds)
-        else:
-            concurrent.futures.wait([armed], timeout=seconds)
+        concurrent.futures.wait([armed], timeout=seconds)
 
     def _spawn(self):
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.jobs, initializer=_worker_init,
+            initargs=(os.getpid(),),
         )
 
     @staticmethod
