@@ -197,14 +197,12 @@ class Machine:
     @staticmethod
     def _build_windows_playground(kernel):
         base = 0x0000_2000_0000_0000
-        space = kernel.user_space
-        space.map_range(base, PAGE_SIZE, flags_from_prot(read=True, write=True))
-        space.map_range(
-            base + PAGE_SIZE, PAGE_SIZE, flags_from_prot(read=True)
-        )
-        space.map_range(
-            base + 2 * PAGE_SIZE, PAGE_SIZE,
-            flags_from_prot(read=True, execute=True),
+        kernel.user_space.map_runs(
+            [base, base + PAGE_SIZE, base + 2 * PAGE_SIZE], [1, 1, 1], [
+                flags_from_prot(read=True, write=True),
+                flags_from_prot(read=True),
+                flags_from_prot(read=True, execute=True),
+            ],
         )
         return Playground(
             user_rw=base,

@@ -47,8 +47,6 @@ FLAG_BITS = 0xFFF | int(PageFlags.NX)
 PFN_MASK = (1 << 40) - 1
 _KEEP_ON_PROTECT = int(PageFlags.HUGE | PageFlags.GLOBAL) | PFN_MASK << 12
 
-_SLOT_NUMBERS = np.arange(512, dtype=np.int64)
-
 #: node id = store serial << 24 | row: unique across the process
 _store_serials = itertools.count(1 << 24, 1 << 24)
 
@@ -68,6 +66,11 @@ def flags_of_word(word):
 def _int64(word):
     """The int64 storage value of a 64-bit PTE word pattern."""
     return ((word + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+
+
+def _unsigned(va):
+    """A VA read back from int64 storage, as the unsigned 64-bit value."""
+    return int(va) & ((1 << 64) - 1)
 
 
 def _leaf(va, word, level):
@@ -188,73 +191,105 @@ class PageTable:
 
     def map(self, va, pfn, flags, page_size=PAGE_SIZE):
         """Install a terminal mapping of ``page_size`` bytes at ``va``."""
-        self.map_run(va, pfn, 1, flags, page_size)
+        self.map_pages([check_canonical(va)], [pfn], [flags], page_size)
 
-    def map_run(self, va, pfn, count, flags, page_size=PAGE_SIZE):
-        """Map ``count`` consecutive pages at ``va`` to consecutive frames.
+    def map_pages(self, vas, pfns, words, page_size=PAGE_SIZE):
+        """Map page ``vas[i]`` to frame ``pfns[i]`` with flag word ``words[i]``.
 
-        Page ``i`` maps frame ``pfn + i * page_size // PAGE_SIZE``, as
-        ``count`` single-page :meth:`map` calls in address order would,
-        errors included: the pages before the first refused one stay
-        mapped.  Each run of slots inside one paging structure is checked
-        and written as one array slice.  A huge mapping may replace a
+        Every page is ``page_size`` bytes.  The outcome, errors included,
+        is that of one :meth:`map` per page in batch order: missing paging
+        structures get rows in first-touch order, and the pages before the
+        first refused one stay mapped.  A page is refused below a terminal
+        entry, on a live leaf, on a table that holds a leaf, or on a slot
+        an earlier page of the batch took.  A huge mapping may replace a
         table that ``unmap`` left empty, like Linux freeing an empty PTE
-        page before it installs a huge PMD; a leaf or a live table refuses.
+        page before it installs a huge PMD.  Directories are walked once
+        per stretch of the batch that stays in one leaf structure, and
+        the leaf words are written with one scatter.
         """
-        va = check_canonical(va)
         level = _LEVEL_OF_SIZE.get(page_size)
         if level is None:
             raise MappingError("unsupported page size {:#x}".format(page_size))
-        if va & (page_size - 1):
-            raise MappingError(
-                "va {:#x} not aligned to page size {:#x}".format(va, page_size)
-            )
-        word = int(flags)
-        if not word & 1:  # PageFlags.PRESENT
+        # as int64 a canonical VA is sign-extended: -2**47 <= va < 2**47
+        vas = np.asarray(vas, dtype=np.uint64).view(np.int64)
+        pfns = np.asarray(pfns, dtype=np.int64)
+        words = np.asarray(words, dtype=np.uint64).view(np.int64)
+        count = len(vas)
+        if not count:
+            return
+        bad = vas + (1 << 47) >> 48
+        if np.count_nonzero(bad):
+            raise AddressError("non-canonical virtual address {:#x}".format(
+                _unsigned(vas[bad.nonzero()[0][0]])
+            ))
+        bad = vas & (page_size - 1)
+        if np.count_nonzero(bad):
+            raise MappingError("va {:#x} not aligned to page size {:#x}".format(
+                _unsigned(vas[bad.nonzero()[0][0]]), page_size
+            ))
+        if np.count_nonzero(words & 1) < count:  # PageFlags.PRESENT
             raise MappingError("terminal mappings must be PRESENT")
-        if ((va + (count - 1) * page_size) ^ va) >> 47:
-            raise AddressError(
-                "run at {:#x} leaves its canonical half".format(va)
-            )
-        frames = page_size // PAGE_SIZE
-        step = frames << 12
-        if pfn < 0 or pfn + count * frames > PFN_MASK + 1:
-            raise MappingError("pfn {:#x} out of range".format(pfn))
+        # a negative PFN reads as a huge unsigned one
+        bad = pfns.view(np.uint64) > PFN_MASK + 1 - page_size // PAGE_SIZE
+        if np.count_nonzero(bad):
+            raise MappingError("pfn {:#x} out of range".format(
+                int(pfns[bad.nonzero()[0][0]])
+            ))
+        packed = words | pfns << 12
         if level < 3:
-            word |= int(PageFlags.HUGE)
-        word = _int64(word | pfn << 12)
+            packed |= int(PageFlags.HUGE)
+
+        shift = LEVEL_SHIFTS[level]
+        slots = vas >> shift & 0x1FF
+        cut = count  # pages from ``cut`` on are refused
+        ranked = np.sort(vas)
+        if np.count_nonzero(ranked[1:] == ranked[:-1]):
+            # the first page whose slot an earlier page took
+            order = vas.argsort(kind="stable")
+            ranked = vas[order]
+            cut = int(order[1:][ranked[1:] == ranked[:-1]].min())
+        # segments: maximal stretches of the batch in one leaf structure,
+        # walked in batch order -- the order a page-at-a-time loop
+        # first touches each missing directory in
+        tables = vas >> (shift + 9)
+        heads = [0] + ((tables[1:] != tables[:-1]).nonzero()[0] + 1).tolist()
         store = self.store
-        done = 0
-        try:
-            while done < count:
-                at = va + done * page_size
-                row = self.root
+        fresh = store.rows  # rows from here on are created below
+        rows = np.empty(count, dtype=np.int64)
+        emptied = []  # (row, slot) of empty tables a huge leaf replaces
+        error = None
+        for head, end in zip(heads, heads[1:] + [count]):
+            if head >= cut:
+                break
+            va = vas.item(head)
+            row = self.root
+            try:
                 for depth in range(level):
                     row = self._ensure_child(
-                        row, depth, at >> LEVEL_SHIFTS[depth] & 0x1FF
+                        row, depth, va >> LEVEL_SHIFTS[depth] & 0x1FF
                     )
-                first = at >> LEVEL_SHIFTS[level] & 0x1FF
-                n = min(count - done, 512 - first)
-                refused = None
-                live = store.pte[row, first:first + n]
-                if np.count_nonzero(live):
-                    for offset in np.flatnonzero(live).tolist():
-                        kid = store.child.item(row, first + offset)
-                        if not kid or store.holds_leaf(kid):
-                            refused = n = offset
-                            break
-                    store.child[row, first:first + n] = 0
-                words = store.pte[row, first:first + n]
-                np.multiply(_SLOT_NUMBERS[:n], step, out=words)
-                words += word + done * step
-                done += n
-                if refused is not None:
-                    raise MappingError("va {:#x} already mapped".format(
-                        va + done * page_size
-                    ))
-        finally:
-            if done:
-                store.generation += 1
+            except MappingError as exc:
+                cut, error = head, exc
+                break
+            rows[head:end] = row
+            if row >= fresh:
+                continue
+            end = min(end, cut)
+            for live in store.pte[row, slots[head:end]].nonzero()[0].tolist():
+                kid = store.child.item(row, slots.item(head + live))
+                if not kid or store.holds_leaf(kid):
+                    cut = head + live
+                    break
+                emptied.append((row, slots.item(head + live)))
+        for row, slot in emptied:
+            store.child[row, slot] = 0
+        if cut:
+            store.pte[rows[:cut], slots[:cut]] = packed[:cut]
+            store.generation += 1
+        if cut < count:
+            raise error or MappingError(
+                "va {:#x} already mapped".format(_unsigned(vas[cut]))
+            )
 
     def _ensure_child(self, row, level, index):
         """Row of the structure slot ``index`` of ``row`` points to."""
@@ -428,9 +463,36 @@ class AddressSpace:
             raise MappingError(
                 "size {:#x} is not a multiple of page size".format(size)
             )
-        count = size // page_size
-        first = self.frames.alloc(count * (page_size // PAGE_SIZE))
-        self.page_table.map_run(va, first, count, flags, page_size)
+        return self.map_runs([va], [size // page_size], [flags], page_size)
+
+    def map_runs(self, starts, counts, flags, page_size=PAGE_SIZE):
+        """Map ``counts[i]`` pages at ``starts[i]`` with ``flags[i]``.
+
+        Fresh frames are handed out once, in run order -- the frames one
+        :meth:`map_range` per run would give -- and every page goes to
+        the page table in one :meth:`PageTable.map_pages` call.  Returns
+        the first PFN.
+        """
+        starts = np.asarray(starts, dtype=np.uint64).view(np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        # as int64 the kernel half is negative; a run from it that ends
+        # above zero wraps into the user half
+        bad = (starts < 0) & (starts + counts * page_size > 0)
+        if np.count_nonzero(bad):
+            raise AddressError("run at {:#x} leaves its canonical half".format(
+                _unsigned(starts[bad.nonzero()[0][0]])
+            ))
+        total = int(counts.sum())
+        frames = page_size // PAGE_SIZE
+        first = self.frames.alloc(total * frames)
+        index = np.arange(total)
+        base = starts - (counts.cumsum() - counts) * page_size
+        self.page_table.map_pages(
+            base.repeat(counts) + index * page_size,
+            first + index * frames,
+            np.asarray(flags, dtype=np.uint64).repeat(counts),
+            page_size,
+        )
         return first
 
     def unmap_range(self, va, size, page_size=PAGE_SIZE):

@@ -50,9 +50,13 @@ class KASLRPolicy:
         offset = int(self.rng.integers(0, min(slack, 4096)))
         return layout.MODULE_START + offset * PAGE_SIZE
 
-    def intermodule_gap_pages(self):
-        """Unmapped guard pages between consecutive modules (>= 1)."""
-        return int(self.rng.integers(1, 4))
+    def intermodule_gaps(self, count):
+        """Unmapped guard pages after each of ``count`` modules (1..3).
+
+        One vector draw: the same values, and the same RNG state after,
+        as ``count`` scalar draws.
+        """
+        return self.rng.integers(1, 4, size=count)
 
     # -- user space ----------------------------------------------------------
 

@@ -150,10 +150,11 @@ class LinuxKernel:
                     self.base + first * PAGE_SIZE_2M,
                     (end - first) * PAGE_SIZE_2M, flags, page_size=page_size,
                 )
-        for offset in layout.KERNEL_4K_PAGE_OFFSETS:
-            self.kernel_space.map_range(
-                self.base + offset, PAGE_SIZE, _KDATA, page_size=PAGE_SIZE
-            )
+        tails = layout.KERNEL_4K_PAGE_OFFSETS
+        self.kernel_space.map_runs(
+            [self.base + offset for offset in tails], [1] * len(tails),
+            [_KDATA] * len(tails),
+        )
 
     def _place_functions(self):
         """Assign each syscall handler a text page.
@@ -189,23 +190,32 @@ class LinuxKernel:
             self.user_space.page_table.map(va, pfn, _KTEXT, PAGE_SIZE)
 
     def _load_modules(self):
-        """Pack modules into the module window with unmapped guard gaps."""
-        total_pages = sum(m.pages for m in self.modules)
-        total_pages += 3 * len(self.modules)  # worst-case gaps
-        cursor = self.policy.module_area_start(total_pages)
-        for module in self.modules:
-            text_pages = max(1, (module.pages * 3) // 5)
-            self.kernel_space.map_range(cursor, text_pages * PAGE_SIZE, _KTEXT)
-            if module.pages > text_pages:
-                self.kernel_space.map_range(
-                    cursor + text_pages * PAGE_SIZE,
-                    (module.pages - text_pages) * PAGE_SIZE, _KDATA,
-                )
-            self.module_map[module.name] = (cursor, module.pages)
-            cursor += (module.pages + self.policy.intermodule_gap_pages()) \
-                * PAGE_SIZE
-            if cursor >= layout.MODULE_END:
-                raise ConfigError("module window overflow")
+        """Pack modules into the module window with unmapped guard gaps.
+
+        Each module is a text run (the first 3/5 of its pages, at least
+        one) and a data run.  Every cursor comes from one gap draw, and
+        the whole region is mapped with one page-table write.
+        """
+        pages = np.array([m.pages for m in self.modules], dtype=np.int64)
+        total_pages = int(pages.sum()) + 3 * len(pages)  # worst-case gaps
+        start = self.policy.module_area_start(total_pages)
+        spans = pages + self.policy.intermodule_gaps(len(pages))
+        if not len(pages):
+            return
+        ends = np.cumsum(spans)
+        if start + int(ends[-1]) * PAGE_SIZE >= layout.MODULE_END:
+            raise ConfigError("module window overflow")
+        offsets = ends - spans
+        for module, offset in zip(self.modules, offsets.tolist()):
+            self.module_map[module.name] = (start + offset * PAGE_SIZE,
+                                            module.pages)
+        text = np.maximum(1, pages * 3 // 5)
+        runs = np.stack([offsets, offsets + text], axis=1).ravel()
+        self.kernel_space.map_runs(
+            start + runs.astype(np.uint64) * PAGE_SIZE,
+            np.stack([text, np.maximum(pages - text, 0)], axis=1).ravel(),
+            [int(_KTEXT), int(_KDATA)] * len(pages),
+        )
 
     def _map_flare_dummies(self):
         """FLARE (Section V-A): back every unmapped kernel slot with dummies.
@@ -220,20 +230,20 @@ class LinuxKernel:
                                   PAGE_SIZE_2M, layout.KERNEL_TEXT_SLOTS)
         module_taken = _slots_taken(leaves, layout.MODULE_START, PAGE_SIZE,
                                     layout.MODULE_SLOTS)
-        # each free run is one map_range, in ascending order: the same
-        # frames a page-at-a-time loop would hand out
-        self.flare_dummy_slots = []
-        for first, count in _free_runs(text_taken):
-            self.kernel_space.map_range(
-                layout.kernel_base_of_slot(first), count * PAGE_SIZE_2M,
-                _KTEXT, page_size=PAGE_SIZE_2M,
-            )
-            self.flare_dummy_slots.extend(range(first, first + count))
-        for first, count in _free_runs(module_taken):
-            self.kernel_space.map_range(
-                layout.MODULE_START + first * PAGE_SIZE, count * PAGE_SIZE,
-                _KTEXT,
-            )
+        # the free runs of each window are one map_runs, in ascending
+        # order: the same frames a page-at-a-time loop would hand out
+        self.flare_dummy_slots = np.flatnonzero(~text_taken).tolist()
+        for taken, start, page_size in (
+            (text_taken, layout.KERNEL_TEXT_START, PAGE_SIZE_2M),
+            (module_taken, layout.MODULE_START, PAGE_SIZE),
+        ):
+            runs = _free_runs(taken)
+            if runs:
+                firsts, counts = zip(*runs)
+                self.kernel_space.map_runs(
+                    [start + first * page_size for first in firsts], counts,
+                    [_KTEXT] * len(runs), page_size=page_size,
+                )
 
     def rerandomize(self):
         """Mid-run KASLR re-randomization: move the image to a fresh base.

@@ -10,12 +10,13 @@ from repro.mmu.address import PAGE_SIZE, page_align_up
 from repro.mmu.flags import PageFlags, flags_from_prot
 from repro.os.linux.libraries import default_library_set
 
-_PROT_OF_STRING = {
-    "r--": dict(read=True, write=False, execute=False),
-    "rw-": dict(read=True, write=True, execute=False),
-    "r-x": dict(read=True, write=False, execute=True),
-    "rwx": dict(read=True, write=True, execute=True),
-    "---": dict(read=False, write=False, execute=False),
+#: PTE flags of each /proc/PID/maps permission string
+_FLAGS_OF_PERMS = {
+    "r--": flags_from_prot(read=True, write=False, execute=False),
+    "rw-": flags_from_prot(read=True, write=True, execute=False),
+    "r-x": flags_from_prot(read=True, write=False, execute=True),
+    "rwx": flags_from_prot(read=True, write=True, execute=True),
+    "---": flags_from_prot(read=False, write=False, execute=False),
 }
 
 
@@ -61,21 +62,31 @@ class Process:
         self.regions = []
         self._mmap_cursor = None
 
-        self.text_base = self._load_executable(executable_pages)
+        # the executable, the libraries and the hidden pages are placed
+        # first (the RNG draws in load order), then mapped with one
+        # page-table write
+        self.text_base, specs = self._place_executable(executable_pages)
         self.library_bases = {}
         if libraries is None:
             libraries = default_library_set()
         for image in libraries:
-            self.library_bases[image.name] = self.load_library(image)
+            self.library_bases[image.name], sections = \
+                self._place_library(image)
+            specs += sections
         if with_hidden_pages:
-            self._map_hidden_pages()
+            specs += self._place_hidden_pages()
+        self._map_regions(specs)
 
     # -- image loading --------------------------------------------------------
 
-    def _load_executable(self, page_spec):
-        """Map the main executable: text / rodata / data segments."""
+    def _place_executable(self, page_spec):
+        """Lay out the main executable: text / rodata / data segments.
+
+        Returns the base and the region specs for :meth:`_map_regions`.
+        """
         text, rodata, data = page_spec
         base = self.policy.user_text_base()
+        specs = []
         cursor = base
         for pages, perms, name in (
             (text, "r-x", "app/.text"),
@@ -83,35 +94,44 @@ class Process:
             (data, "rw-", "app/.data"),
         ):
             # loader relocations already wrote the data pages -> dirty
-            self._map_region(cursor, pages, perms, name, dirty=(perms == "rw-"))
+            specs.append((cursor, pages, perms, name, False, perms == "rw-"))
             cursor += pages * PAGE_SIZE
-        return base
+        return base, specs
 
     def load_library(self, image):
         """Map a library's sections consecutively at a randomized base."""
-        base = self._next_mmap_address(image.total_pages)
-        cursor = base
-        for section in image.sections:
-            self._map_region(
-                cursor, section.pages, section.perms,
-                "{}:{}".format(image.name, section.name),
-                dirty=(section.perms == "rw-"),
-            )
-            cursor += section.pages * PAGE_SIZE
+        base, specs = self._place_library(image)
+        self._map_regions(specs)
         return base
 
-    def _map_hidden_pages(self):
+    def _place_library(self, image):
+        """Lay out a library's sections; return its base and region specs."""
+        base = self._next_mmap_address(image.total_pages)
+        specs = []
+        cursor = base
+        for section in image.sections:
+            specs.append((
+                cursor, section.pages, section.perms,
+                "{}:{}".format(image.name, section.name),
+                False, section.perms == "rw-",
+            ))
+            cursor += section.pages * PAGE_SIZE
+        return base, specs
+
+    def _place_hidden_pages(self):
         """Loader scratch pages that /proc/PID/maps does not report.
 
         The paper's probe "detected additional pages that had never been
         identified with a /proc/PID/maps file" (Figure 7); these model
         them.
         """
-        for base, perms in (
-            (self.text_base + 0x42000, "r--"),
-            (self._next_mmap_address(1), "rw-"),
-        ):
-            self._map_region(base, 1, perms, "loader-scratch", hidden=True)
+        return [
+            (base, 1, perms, "loader-scratch", True, False)
+            for base, perms in (
+                (self.text_base + 0x42000, "r--"),
+                (self._next_mmap_address(1), "rw-"),
+            )
+        ]
 
     # -- syscalls ---------------------------------------------------------------
 
@@ -127,7 +147,7 @@ class Process:
         if addr is None:
             addr = self._next_mmap_address(pages)
         if populate or perms == "---":
-            self._map_region(addr, pages, perms, name)
+            self._map_regions([(addr, pages, perms, name, False, False)])
         else:
             self.regions.append(
                 Region(addr, pages, perms, name, lazy=True)
@@ -226,18 +246,27 @@ class Process:
 
     @staticmethod
     def _flags(perms):
-        return flags_from_prot(**_PROT_OF_STRING[perms])
+        return _FLAGS_OF_PERMS[perms]
 
-    def _map_region(self, addr, pages, perms, name, hidden=False,
-                    dirty=False):
-        if pages <= 0:
-            raise MappingError("region must have at least one page")
-        if perms != "---":
-            flags = self._flags(perms)
-            if dirty:
-                flags |= PageFlags.DIRTY | PageFlags.ACCESSED
-            self.space.map_range(addr, pages * PAGE_SIZE, flags)
-        self.regions.append(Region(addr, pages, perms, name, hidden))
+    def _map_regions(self, specs):
+        """Map ``(addr, pages, perms, name, hidden, dirty)`` region specs.
+
+        The PTEs of every region but PROT_NONE ones go in with one
+        page-table write, with frames in spec order; the regions are
+        recorded once they are mapped.
+        """
+        runs = []
+        for addr, pages, perms, __, __, dirty in specs:
+            if pages <= 0:
+                raise MappingError("region must have at least one page")
+            if perms != "---":
+                flags = self._flags(perms)
+                if dirty:
+                    flags |= PageFlags.DIRTY | PageFlags.ACCESSED
+                runs.append((addr, pages, flags))
+        if runs:
+            self.space.map_runs(*zip(*runs))
+        self.regions.extend(Region(*spec[:5]) for spec in specs)
 
     def _next_mmap_address(self, pages):
         if self._mmap_cursor is None:

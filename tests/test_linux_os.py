@@ -3,18 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_2M
+from repro.machine import Machine
+from repro.mmu.address import (
+    LEVEL_SHIFTS,
+    PAGE_SIZE,
+    PAGE_SIZE_1G,
+    PAGE_SIZE_2M,
+)
 from repro.mmu.flags import PageFlags
+from repro.mmu.pagetable import AddressSpace, PageTable
 from repro.os.linux import layout
 from repro.os.linux.kaslr import KASLRPolicy
-from repro.os.linux.kernel import SYSCALL_TABLE, LinuxKernel
+from repro.os.linux.kernel import _KDATA, _KTEXT, SYSCALL_TABLE, LinuxKernel
 from repro.os.linux.modules import (
     MODULE_CATALOG,
+    ModuleInfo,
     by_name,
     default_module_set,
     page_count_histogram,
     uniquely_sized,
 )
+from repro.os.linux.process import Process, Region
 
 
 class TestLayoutConstants:
@@ -295,3 +304,151 @@ class TestKernelActivity:
         start, __ = kernel.module_map["bluetooth"]
         for i in range(4):
             assert core.tlb.holds(start + i * PAGE_SIZE)
+
+
+# -- batched boot against a page-at-a-time reference ---------------------------
+
+_DIR_WORD = int(PageFlags.PRESENT | PageFlags.WRITABLE | PageFlags.USER)
+
+
+def _map_pages_one_by_one(table, vas, pfns, words, page_size=PAGE_SIZE):
+    """``PageTable.map_pages`` as plain Python, one page at a time."""
+    level = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}[page_size]
+    store = table.store
+    for va, pfn, word in zip(vas, pfns, words):
+        va = int(va) & ((1 << 64) - 1)
+        row = table.root
+        for shift in LEVEL_SHIFTS[:level]:
+            index = va >> shift & 0x1FF
+            kid = int(store.child[row, index])
+            if not kid:
+                assert not store.pte[row, index]
+                kid = store.new_rows()
+                store.pte[row, index] = _DIR_WORD
+                store.child[row, index] = kid
+            row = kid
+        index = va >> LEVEL_SHIFTS[level] & 0x1FF
+        assert not store.pte[row, index]
+        word = int(word) | int(pfn) << 12
+        if level < 3:
+            word |= int(PageFlags.HUGE)
+        store.pte[row, index] = word - (1 << 64) if word >> 63 else word
+        store.generation += 1
+
+
+def _map_runs_one_by_one(space, starts, counts, flags, page_size=PAGE_SIZE):
+    """``AddressSpace.map_runs`` as one frame and one map per page."""
+    first = None
+    for start, count, word in zip(starts, counts, flags):
+        for i in range(int(count)):
+            pfn = space.frames.alloc(page_size // PAGE_SIZE)
+            first = pfn if first is None else first
+            space.page_table.map(int(start) + i * page_size, pfn, word,
+                                 page_size)
+    return first
+
+
+def _load_modules_one_by_one(kernel):
+    """``LinuxKernel._load_modules`` as a loop: one gap draw per module."""
+    total = sum(m.pages for m in kernel.modules) + 3 * len(kernel.modules)
+    cursor = kernel.policy.module_area_start(total)
+    for module in kernel.modules:
+        text = max(1, module.pages * 3 // 5)
+        kernel.kernel_space.map_runs(
+            [cursor, cursor + text * PAGE_SIZE],
+            [text, max(0, module.pages - text)], [_KTEXT, _KDATA],
+        )
+        kernel.module_map[module.name] = (cursor, module.pages)
+        cursor += (module.pages + int(kernel.policy.rng.integers(1, 4))) \
+            * PAGE_SIZE
+
+
+def _map_regions_one_by_one(process, specs):
+    """``Process._map_regions`` as one ``map_range`` per region."""
+    for addr, pages, perms, name, hidden, dirty in specs:
+        if perms != "---":
+            flags = process._flags(perms)
+            if dirty:
+                flags |= PageFlags.DIRTY | PageFlags.ACCESSED
+            process.space.map_range(addr, pages * PAGE_SIZE, flags)
+        process.regions.append(Region(addr, pages, perms, name, hidden))
+
+
+def _boot_state(machine):
+    """Everything a boot leaves behind that later simulation reads."""
+    kernel = machine.kernel
+    spaces = [kernel.kernel_space]
+    if kernel.user_space is not kernel.kernel_space:
+        spaces.append(kernel.user_space)
+    tables = []
+    for space in spaces:
+        store = space.page_table.store
+        tables.append((store.rows, store.pte[:store.rows].tobytes(),
+                       store.child[:store.rows].tobytes()))
+    return {
+        "tables": tables,
+        "next_pfn": kernel.kernel_space.frames.alloc(),
+        "module_map": kernel.module_map,
+        "regions": [(r.start, r.pages, r.perms, r.name, r.hidden, r.lazy)
+                    for r in machine.process.regions],
+        "rng": [rng.bit_generator.state
+                for rng in (kernel.rng, machine.core.rng, machine.rng)],
+    }
+
+
+_CUSTOM_MODULES = default_module_set()[:30] + [
+    ModuleInfo("one_page", PAGE_SIZE), ModuleInfo("two_pages", 2 * PAGE_SIZE),
+]
+
+_BOOTS = {
+    "base": lambda seed: Machine.linux(seed=seed),
+    "nokaslr": lambda seed: Machine.linux(seed=seed, kaslr=False),
+    "kpti": lambda seed: Machine.linux(seed=seed, kpti=True),
+    "fgkaslr": lambda seed: Machine.linux(seed=seed, fgkaslr=True),
+    "flare": lambda seed: Machine.linux(seed=seed, flare=True),
+    "gce": lambda seed: Machine.cloud("gce", seed=seed),
+    "ec2": lambda seed: Machine.cloud("ec2", seed=seed),
+    "ryzen": lambda seed: Machine.linux(cpu="ryzen5-5600X", seed=seed),
+    "custom": lambda seed: Machine.linux(seed=seed, modules=_CUSTOM_MODULES),
+}
+
+
+class TestBatchedBoot:
+    @pytest.mark.parametrize("variant", sorted(_BOOTS))
+    def test_boot_matches_page_at_a_time(self, variant, monkeypatch):
+        """Batched boots equal the per-page, per-module-draw reference."""
+        boot = _BOOTS[variant]
+        for seed in range(40):
+            batched = _boot_state(boot(seed))
+            with monkeypatch.context() as patch:
+                patch.setattr(PageTable, "map_pages", _map_pages_one_by_one)
+                patch.setattr(AddressSpace, "map_runs", _map_runs_one_by_one)
+                patch.setattr(LinuxKernel, "_load_modules",
+                              _load_modules_one_by_one)
+                patch.setattr(Process, "_map_regions",
+                              _map_regions_one_by_one)
+                reference = _boot_state(boot(seed))
+            assert batched == reference, (variant, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_module_region_is_one_page_table_write(self, seed, monkeypatch):
+        """Page-table writes per boot, counted: no timing involved."""
+        calls = []
+        real = PageTable.map_pages
+
+        def counted(table, vas, pfns, words, page_size=PAGE_SIZE):
+            calls.append(np.asarray(vas, dtype=np.uint64))
+            real(table, vas, pfns, words, page_size)
+
+        monkeypatch.setattr(PageTable, "map_pages", counted)
+        machine = Machine.linux(seed=seed)
+        in_window = [vas for vas in calls if (
+            (vas >= layout.MODULE_START) & (vas < layout.MODULE_END)
+        ).any()]
+        assert len(in_window) == 1
+        assert len(in_window[0]) == sum(
+            max(module.pages, 1) for module in machine.kernel.modules
+        )
+        # image, its 4 KiB tails, modules, process image, 3 playground
+        # pages; a per-module loop would make ~250 calls
+        assert len(calls) <= 8

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MappingError
+from repro.errors import AddressError, MappingError
 from repro.mmu.address import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 from repro.mmu.flags import PageFlags
 from repro.mmu.pagetable import AddressSpace, PageTable
@@ -283,3 +283,80 @@ class TestAddressSpace:
     def test_bad_size_rejected(self):
         with pytest.raises(MappingError):
             AddressSpace().map_range(0x10000, 100, USER_RW)
+
+
+class TestBatchedMapping:
+    def test_rows_in_first_touch_order(self):
+        """An unsorted batch numbers new rows as one map per page would."""
+        vas = [0x7F00_0000_0000, 0x1000, 0x7F00_0000_1000, 0x4000_0000]
+        batched, single = PageTable(), PageTable()
+        batched.map_pages(vas, [1, 2, 3, 4], [USER_RW] * 4)
+        for pfn, va in enumerate(vas, start=1):
+            single.map(va, pfn, USER_RW)
+        rows = single.store.rows
+        assert batched.store.rows == rows
+        assert (batched.store.pte[:rows] == single.store.pte[:rows]).all()
+        assert (batched.store.child[:rows] == single.store.child[:rows]).all()
+
+    def test_repeated_slot_keeps_the_pages_before_it(self):
+        table = PageTable()
+        with pytest.raises(MappingError, match="already mapped"):
+            table.map_pages([0x1000, 0x2000, 0x1000, 0x3000], [1, 2, 3, 4],
+                            [USER_RW] * 4)
+        assert table.lookup(0x1000).translation.pfn == 1
+        assert table.is_mapped(0x2000)
+        assert not table.is_mapped(0x3000)
+
+    def test_live_leaf_refuses_and_later_pages_stay_unmapped(self):
+        table = PageTable()
+        table.map(0x2000, 9, USER_RW)
+        rows = table.store.rows
+        with pytest.raises(MappingError, match="already mapped"):
+            table.map_pages([0x1000, 0x2000, 1 << 39], [1, 2, 3],
+                            [USER_RW] * 3)
+        assert table.is_mapped(0x1000)
+        assert table.lookup(0x2000).translation.pfn == 9
+        # the refused page's successor created no paging structures
+        assert table.store.rows == rows
+
+    def test_page_below_a_huge_leaf_refused(self):
+        table = PageTable()
+        table.map(0, 1, KERNEL, PAGE_SIZE_2M)
+        with pytest.raises(MappingError, match="terminal"):
+            table.map_pages([0x1000, PAGE_SIZE_2M], [2, 3], [KERNEL] * 2)
+        assert table.lookup(0x1000).translation.pfn == 1
+        assert not table.is_mapped(PAGE_SIZE_2M)
+
+    def test_checks_refuse_the_whole_batch(self):
+        table = PageTable()
+        for vas, pfns, words in (
+            ([0x1000, 0x1800], [1, 2], [KERNEL] * 2),  # misaligned
+            ([0x1000, 0x2000], [1, 2], [KERNEL, PageFlags.USER]),  # absent
+            ([0x1000, 0x2000], [1, -2], [KERNEL] * 2),  # negative pfn
+        ):
+            with pytest.raises(MappingError):
+                table.map_pages(vas, pfns, words)
+        with pytest.raises(AddressError):
+            table.map_pages([0x1000, 1 << 47], [1, 2], [KERNEL] * 2)
+        assert table.store.rows == 1 and not table.is_mapped(0x1000)
+
+
+class TestMapRuns:
+    def test_frames_follow_run_order(self):
+        space = AddressSpace()
+        first = space.map_runs([0x40_0000, 0x10_0000], [2, 3],
+                               [USER_RW, KERNEL])
+        assert space.translate(0x40_1000).pfn == first + 1
+        assert space.translate(0x10_0000).pfn == first + 2
+        assert space.translate(0x10_0000).flags == KERNEL
+        assert space.frames.allocated_count == 5
+
+    def test_empty_run_maps_nothing(self):
+        space = AddressSpace()
+        space.map_runs([0x1000, 0x8000], [0, 1], [USER_RW, USER_RW])
+        assert not space.translate(0x1000)
+        assert space.translate(0x8000) is not None
+
+    def test_run_off_the_top_of_the_kernel_half_refused(self):
+        with pytest.raises(AddressError, match="canonical half"):
+            AddressSpace().map_runs([0xFFFF_FFFF_FFFF_F000], [2], [KERNEL])

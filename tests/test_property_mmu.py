@@ -214,6 +214,11 @@ _pool = st.builds(
 _ops = st.one_of(
     st.tuples(st.just("map"), _pool, st.sampled_from(_SIZES),
               st.sampled_from(_MAP_FLAGS), st.integers(1, 3)),
+    # one batch of pages in any order, repeats included
+    st.tuples(st.just("batch"), st.sampled_from(_SIZES), st.lists(
+        st.tuples(_pool, st.sampled_from(_MAP_FLAGS)), min_size=1,
+        max_size=6,
+    )),
     st.tuples(st.just("unmap"), _pool),
     st.tuples(st.just("protect"), _pool, st.sampled_from(_PROTECT_FLAGS)),
     st.tuples(st.just("set_flag"), _pool,
@@ -341,19 +346,24 @@ class TestPageTableModel:
             for c in (0, 1, 510, 511) for d in (0, 1, 2, 510, 511)
         })
         for op in ops:
-            if op[0] == "map":
-                __, va, size, flags, count = op
-                va &= ~(size - 1)
-                real = _apply(table, ("map_run", va, pfn, count, flags, size))
+            if op[0] in ("map", "batch"):
+                if op[0] == "map":  # a run: consecutive pages, one flags
+                    __, va, size, flags, count = op
+                    va &= ~(size - 1)
+                    pages = [(va + i * size, flags) for i in range(count)]
+                else:
+                    __, size, pages = op
+                    pages = [(va & ~(size - 1), flags) for va, flags in pages]
+                vas = [va for va, __ in pages]
+                pfns = [pfn + i * (size // PAGE_SIZE) for i in range(len(vas))]
+                words = [flags for __, flags in pages]
+                real = _apply(table, ("map_pages", vas, pfns, words, size))
                 expected = None
-                for i in range(count):
-                    expected = _apply(model, (
-                        "map", va + i * size, pfn + i * (size // PAGE_SIZE),
-                        flags, size,
-                    ))
+                for va, frame, flags in zip(vas, pfns, words):
+                    expected = _apply(model, ("map", va, frame, flags, size))
                     if expected is not None:
                         break
-                pfn += count * (size // PAGE_SIZE)
+                pfn += len(vas) * (size // PAGE_SIZE)
             else:
                 real = _apply(table, op)
                 expected = _apply(model, op)
